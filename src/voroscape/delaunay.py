@@ -18,7 +18,8 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .geometry import Frame, affine_basis, circumsphere, simplex_volume
+from .geometry import (Frame, affine_basis, circumcenters, polygon_disk_area,
+                       simplex_volume)
 from .pointproc import Window
 
 LIFT_TOL = 1e-10        # lower-facet test on lifted hull normals
@@ -89,21 +90,26 @@ class Mosaic:
 
     cells[k] is an (m_k, k+1) int array of sorted site indices in
     lexicographic row order; cofaces map each k-cell to the indices of the
-    top cells containing it.
+    top cells containing it. top_faces[k][t, j] indexes the k-cell on the
+    j-th (k+1)-subset, in combinations order, of top cell t's vertices.
     """
 
-    def __init__(self, sites, cells, cofaces, circumcenters, circumradii,
-                 hull_facets, hull_normals, hull_offsets):
+    def __init__(self, sites, cells, cofaces, top_faces, circumcenters,
+                 circumradii, hull_facets, hull_normals, hull_offsets):
         self.sites = sites
         self.d = sites.shape[1]
         self.cells = cells
         self._cofaces = cofaces
+        self._top_faces = top_faces
         self.top_circumcenters = circumcenters
         self.top_circumradii = circumradii
         self.hull_facets = hull_facets
         self.hull_normals = hull_normals
         self.hull_offsets = hull_offsets
         self._boundary_masks = {}
+        self._facets = {}
+        self._circumcenters = {}
+        self._dual_volumes = {}
         self._neighbors = None
         self._cell_index = {}
 
@@ -124,19 +130,28 @@ class Mosaic:
             self._cell_index[k] = {tuple(row): i for i, row in enumerate(rows.tolist())}
         return self._cell_index[k][tuple(vertex_tuple)]
 
+    def facets(self, k: int) -> np.ndarray:
+        """Indices into cells[k-1] of the facets of each k-cell, column q
+        without the q-th vertex; read off one top cell containing the cell."""
+        if k not in self._facets:
+            slot = {s: j for j, s in enumerate(combinations(range(self.d + 1), k))}
+            table = np.array([[slot[s[:q] + s[q + 1:]] for q in range(k + 1)]
+                              for s in combinations(range(self.d + 1), k + 1)])
+            indptr, tops = self._cofaces[k]
+            t = tops[indptr[:-1]]
+            j = np.argmax(self._top_faces[k][t] == np.arange(len(t))[:, None], axis=1)
+            self._facets[k] = self._top_faces[k - 1][t[:, None], table[j]]
+        return self._facets[k]
+
     def boundary_mask(self, k: int) -> np.ndarray:
-        """True for k-cells lying on the convex-hull boundary of the sites."""
+        """True for k-cells on the convex hull of the sites: (d-1)-cells in
+        one top cell, and lower cells with a hull (k+1)-coface."""
         if k not in self._boundary_masks:
-            if k == self.d:
-                mask = np.zeros(self.n_cells(k), dtype=bool)
-            else:
-                facet_faces = set()
-                for facet in self.hull_facets.tolist():
-                    for sub in combinations(facet, k + 1):
-                        facet_faces.add(sub)
-                rows = self.cells[k].tolist()
-                mask = np.fromiter((tuple(r) in facet_faces for r in rows),
-                                   dtype=bool, count=len(rows))
+            mask = np.zeros(self.n_cells(k), dtype=bool)
+            if k == self.d - 1:
+                mask = np.diff(self._cofaces[k][0]) == 1
+            elif k < self.d:
+                mask[self.facets(k + 1)[self.boundary_mask(k + 1)]] = True
             self._boundary_masks[k] = mask
         return self._boundary_masks[k]
 
@@ -157,6 +172,52 @@ class Mosaic:
 
     def cell_volume(self, k: int, idx: int) -> float:
         return simplex_volume(self.sites[self.cells[k][idx]])
+
+    def circumcenters(self, k: int) -> np.ndarray:
+        """Circumcenters of the k-cells; each is its cell's pivot point."""
+        if k == self.d:
+            return self.top_circumcenters
+        if k not in self._circumcenters:
+            self._circumcenters[k] = circumcenters(self.sites[self.cells[k]])
+        return self._circumcenters[k]
+
+    def reach(self, k: int) -> np.ndarray:
+        """Largest distance from a k-cell's vertices to its dual's vertices,
+        inf for hull cells. The vertices lie on the circumsphere of each top
+        coface, centered on a dual vertex, so this is the largest radius."""
+        indptr, tops = self._cofaces[k]
+        return np.where(self.boundary_mask(k), np.inf,
+                        np.maximum.reduceat(self.top_circumradii[tops], indptr[:-1]))
+
+    def dual_volumes(self, k: int) -> np.ndarray:
+        """(d-k)-volumes of the dual Voronoi cells of the k-cells, inf for
+        the unbounded duals of hull cells.
+
+        Cone decomposition from circumcenters (Lasserre 1983): vol(V_tau) =
+        1/(d-k) sum over cofaces sigma = tau + w of h * vol(V_sigma), with
+        vol = 1 at the tops. h = (cc(sigma) - cc(tau)) . n, n the unit normal
+        of tau inside sigma pointing at w; the difference is parallel to n,
+        so h is its length signed by the side of w. Only levels d-1 down to
+        k are computed, once each. Bounded duals have no hull cofaces.
+        """
+        if k not in self._dual_volumes:
+            if k == self.d:
+                vol = np.ones(self.n_cells(k))
+            else:
+                up = np.where(self.boundary_mask(k + 1), 0.0, self.dual_volumes(k + 1))
+                cc_up, cc = self.circumcenters(k + 1), self.circumcenters(k)
+                vol = np.zeros(self.n_cells(k))
+                # one pass per vertex w of the cofaces keeps the temporaries
+                # at one row per coface
+                for tau, w in zip(self.facets(k + 1).T, self.cells[k + 1].T):
+                    delta = cc_up - cc[tau]
+                    side = np.einsum("ij,ij->i", delta, self.sites[w] - cc[tau])
+                    h = np.copysign(np.linalg.norm(delta, axis=1), side)
+                    vol += np.bincount(tau, weights=h * up, minlength=len(vol))
+                vol /= self.d - k
+                vol[self.boundary_mask(k)] = np.inf
+            self._dual_volumes[k] = vol
+        return self._dual_volumes[k]
 
     def contains(self, x, tol=1e-12) -> bool:
         """True when x lies inside the convex hull of the sites."""
@@ -188,37 +249,31 @@ def build_mosaic(points, d=None) -> Mosaic:
     lifted = np.column_stack([pts, np.einsum("ij,ij->i", pts, pts)])
     tops = lower_hull_simplices(lifted).astype(np.int32)
 
+    n_tops = len(tops)
     cells = {d: tops}
-    cofaces = {d: (np.arange(len(tops) + 1), np.arange(len(tops)))}
+    cofaces = {d: (np.arange(n_tops + 1), np.arange(n_tops))}
+    top_faces = {d: np.arange(n_tops, dtype=np.int32)[:, None]}
     for k in range(d - 1, -1, -1):
         subs = list(combinations(range(d + 1), k + 1))
         stacked = np.concatenate([tops[:, s] for s in subs])
-        owners = np.tile(np.arange(len(tops)), len(subs))
+        owners = np.tile(np.arange(n_tops, dtype=np.int32), len(subs))
         uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
         order = np.argsort(inv, kind="stable")
         indptr = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
         cells[k] = uniq
         cofaces[k] = (indptr, owners[order])
+        top_faces[k] = inv.reshape(len(subs), n_tops).T.astype(np.int32)
 
-    # batched circumcenters of the top cells, solved in ambient coordinates
-    v = pts[tops]
-    v0 = v[:, 0, :]
-    A = 2.0 * (v[:, 1:, :] - v0[:, None, :])
-    rhs = (np.einsum("tkj,tkj->tk", v[:, 1:, :], v[:, 1:, :])
-           - np.einsum("tj,tj->t", v0, v0)[:, None])
-    try:
-        centers = np.linalg.solve(A, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInputError(
-            "degenerate configuration (flat top cell)") from exc
-    radii = np.linalg.norm(centers - v0, axis=1)
+    centers = circumcenters(pts[tops])
+    radii = np.linalg.norm(centers - pts[tops[:, 0]], axis=1)
 
     hull = ConvexHull(pts)
     facets = np.sort(hull.simplices, axis=1).astype(np.int32)
     normals = hull.equations[:, :d]
     offsets = hull.equations[:, d]
 
-    return Mosaic(pts, cells, cofaces, centers, radii, facets, normals, offsets)
+    return Mosaic(pts, cells, cofaces, top_faces, centers, radii, facets,
+                  normals, offsets)
 
 
 def voronoi_dual(m: Mosaic, k: int, idx: int) -> DualCell:
@@ -337,7 +392,7 @@ def _voronoi_polygon(m: Mosaic, site: int, far: float) -> np.ndarray:
         return cloud[np.argsort(ang)]
 
 
-def _clipped_cell_volume_nd(m: Mosaic, site: int, window: Window) -> float:
+def _clipped_cell_volume(m: Mosaic, site: int, window: Window) -> float:
     # Voronoi cell as a halfspace intersection (bisectors plus box faces),
     # volume via the hull of the intersection vertices
     from scipy.optimize import linprog
@@ -378,39 +433,33 @@ def clipped_voronoi_volumes(m: Mosaic, window: Window) -> np.ndarray:
     """Per-site volume of (Voronoi cell intersect window).
 
     For a window strictly inside the site hull these volumes partition the
-    window, so their sum equals its volume. This is the second, clipping
-    based code path that the mixed-volume accounting is checked against.
-    d = 2 supports box and ball windows exactly; d >= 3 supports box windows
-    through halfspace intersections.
+    window, so their sum equals its volume. A bounded cell whose vertices
+    all lie in the window is whole, and its volume comes from the
+    dual-volume routine; only the cells crossing the window boundary are
+    clipped. Ball windows are clipped exactly in d = 2, box windows in any
+    d through halfspace intersections.
     """
-    from .geometry import clip_polygon_halfspace, polygon_area, polygon_disk_area
-
-    n = len(m.sites)
-    out = np.zeros(n)
-    reach = window.extent * (np.sqrt(m.d) if window.kind == "box" else 1.0) \
-        + 2.0 * float(m.top_circumradii.max())
+    if m.d != 2 and window.kind != "box":
+        raise ValueError("ball windows are only clipped exactly in d = 2")
+    out = np.zeros(len(m.sites))
+    indptr, tops = m._cofaces[0]
+    top_in = window.contains(m.top_circumcenters)
+    whole = np.logical_and.reduceat(top_in[tops], indptr[:-1]) & ~m.boundary_mask(0)
+    out[whole] = m.dual_volumes(0)[whole]
+    # a cell lies within its reach of its site, so only sites within reach
+    # of the window's circumscribed ball can have a cell crossing it
     rel = m.sites - window.center
-    near = np.einsum("ij,ij->i", rel, rel) <= reach * reach
-    if m.d == 2:
+    radius = window.extent * (np.sqrt(m.d) if window.kind == "box" else 1.0)
+    clip = np.nonzero((np.linalg.norm(rel, axis=1) < radius + m.reach(0)) & ~whole)[0]
+    if window.kind == "ball":
         span = float(np.max(np.linalg.norm(rel, axis=1)))
         far = 4.0 * (span + window.extent + float(m.top_circumradii.max()))
-        for site in np.nonzero(near)[0]:
+        for site in clip:
             poly = _voronoi_polygon(m, int(site), far)
-            if window.kind == "ball":
-                out[site] = polygon_disk_area(poly, window.center, window.extent)
-            else:
-                for axis in range(2):
-                    for sign in (1.0, -1.0):
-                        normal = np.zeros(2)
-                        normal[axis] = sign
-                        offset = float(normal @ window.center) + window.extent
-                        poly = clip_polygon_halfspace(poly, normal, offset)
-                out[site] = polygon_area(poly)
+            out[site] = polygon_disk_area(poly, window.center, window.extent)
         return out
-    if window.kind != "box":
-        raise ValueError("ball windows are only clipped exactly in d = 2")
-    for site in np.nonzero(near)[0]:
-        out[site] = _clipped_cell_volume_nd(m, int(site), window)
+    for site in clip:
+        out[site] = _clipped_cell_volume(m, int(site), window)
     return out
 
 

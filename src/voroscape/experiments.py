@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delaunay import build_mosaic
-from .errors import CoverageError
+from .errors import (ConsistencyError, CoverageError, DegenerateInputError,
+                     UnboundedCellError)
 from .mixedvol import mixed_volume_sum, partition_sum
 from .moments import (MomentQuery, distortion_constant,
                       distortion_exact_string, moment_closed_form,
@@ -30,6 +31,8 @@ from .scape import distortion, flat_patch_probe, segment_probe, voronoi_path, \
     voronoi_scape_flat
 
 WORKERS_ENV = "VOROSCAPE_WORKERS"
+TRIAL_ERRORS = (ConsistencyError, CoverageError, DegenerateInputError,
+                UnboundedCellError)
 
 Z_GATE = 4.0             # statistical acceptance band for mean vs prediction
 RATIO_GATE = 0.05        # mixed-volume ratio band, interior sums
@@ -207,18 +210,17 @@ def _run_trial(spec: ExperimentSpec, trial: int):
         if spec.kind == "mixedvol":
             return trial, _mixedvol_trial(spec, trial)
         return trial, {"value": _distortion_trial(spec, trial)}
-    except CoverageError as exc:
-        raise CoverageError(
-            f"{exc} (trial seed [{spec.seed}, {trial}])") from exc
+    except TRIAL_ERRORS as exc:
+        raise type(exc)(f"{exc} (trial seed [{spec.seed}, {trial}])") from exc
 
 
 def worker_count(trials: int) -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, min(n, trials))
+    """Worker processes for a run: VOROSCAPE_WORKERS (unset or empty means
+    1), capped at the trial count and the CPU count."""
+    raw = os.environ.get(WORKERS_ENV, "").strip() or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return min(int(raw), trials, os.cpu_count() or 1)
 
 
 def _run_trials(spec: ExperimentSpec) -> list[dict]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -114,6 +115,18 @@ class PolytopeCell:
         return self.basis.d
 
 
+def simplex_volumes(v) -> np.ndarray:
+    """k-dimensional volumes of a stack of k-simplices, v of shape (m, k+1, d).
+
+    sqrt(det(E E^T)) / k! with E the edge rows v_i - v_0; a point (k = 0)
+    has volume 1, the convention used by tile measures.
+    """
+    v = np.asarray(v, dtype=float)
+    e = v[:, 1:] - v[:, :1]
+    det = np.linalg.det(np.einsum("mij,mlj->mil", e, e))
+    return np.sqrt(np.maximum(det, 0.0)) / factorial(e.shape[1])
+
+
 def simplex_volume(s) -> float:
     """k-dimensional volume of a k-simplex, via the Gram determinant.
 
@@ -122,23 +135,33 @@ def simplex_volume(s) -> float:
     Simplex.degenerate to distinguish that case from a genuinely thin cell.
     """
     v = s.vertices if isinstance(s, Simplex) else _as_points(s)
-    k = v.shape[0] - 1
-    if k == 0:
-        return 1.0  # Vol_0 of a point, the convention used by tile measures
-    e = v[1:] - v[0]
-    gram = e @ e.T
-    det = np.linalg.det(gram)
-    if det <= 0.0 or Simplex(v).degenerate:
+    if Simplex(v).degenerate:
         return 0.0
-    return float(np.sqrt(det) / np.prod(np.arange(1, k + 1, dtype=float)))
+    return float(simplex_volumes(v[None])[0])
+
+
+def circumcenters(v) -> np.ndarray:
+    """Circumcenters of a stack of k-simplices, v of shape (m, k+1, d).
+
+    The center is v_0 + x with E x = diag(E E^T) / 2 for the edge rows
+    E = v_i - v_0. A full-dimensional simplex solves that square system
+    directly; a lower one keeps x = E^T a in its affine hull and solves the
+    Gram system for a, which squares the condition number of E.
+    """
+    v = np.asarray(v, dtype=float)
+    e = v[:, 1:] - v[:, :1]
+    half = 0.5 * np.einsum("mij,mij->mi", e, e)[..., None]
+    try:
+        if e.shape[1] == e.shape[2]:
+            return v[:, 0] + np.linalg.solve(e, half)[..., 0]
+        a = np.linalg.solve(e @ e.transpose(0, 2, 1), half)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInputError("degenerate configuration (flat simplex)") from exc
+    return v[:, 0] + (a.transpose(0, 2, 1) @ e)[:, 0]
 
 
 def circumsphere(s):
     """Center and radius of the circumsphere of a k-simplex.
-
-    The center lies in the affine hull of the simplex, which is what the
-    duality constructions need for faces of dimension k < d. Solves the
-    linear system 2 E E^T a = diag(E E^T) for barycentric-like coefficients.
 
     Returns
     -------
@@ -148,15 +171,8 @@ def circumsphere(s):
     v = s.vertices if isinstance(s, Simplex) else _as_points(s)
     if Simplex(v).degenerate:
         raise DegenerateInputError("degenerate simplex")
-    e = v[1:] - v[0]
-    if e.shape[0] == 0:
-        return v[0].copy(), 0.0
-    gram = e @ e.T
-    rhs = 0.5 * np.diag(gram)
-    coef = np.linalg.solve(gram, rhs)
-    center = v[0] + coef @ e
-    radius = float(np.linalg.norm(center - v[0]))
-    return center, radius
+    center = circumcenters(v[None])[0]
+    return center, float(np.linalg.norm(center - v[0]))
 
 
 def frame_projection_volume(f: Frame, g: Frame) -> float:
@@ -210,11 +226,9 @@ def _fan_volume(coords) -> float:
         hull = ConvexHull(coords)
     except QhullError as exc:
         raise DegenerateInputError(f"flat cell in dimension {m}") from exc
-    centroid = coords.mean(axis=0)
-    total = 0.0
-    for facet in hull.simplices:
-        total += simplex_volume(np.vstack([centroid[None, :], coords[facet]]))
-    return total
+    centroid = np.broadcast_to(coords.mean(axis=0), (len(hull.simplices), 1, m))
+    fan = np.concatenate([centroid, coords[hull.simplices]], axis=1)
+    return float(simplex_volumes(fan).sum())
 
 
 def polytope_volume(cell: PolytopeCell) -> float:
@@ -243,30 +257,6 @@ def affine_basis(points) -> Frame:
     u, s, vt = np.linalg.svd(e, full_matrices=False)
     rank = int(np.sum(s > max(1e-13, s[0] * 1e-12))) if s.size else 0
     return Frame(vt[:rank])
-
-
-def clip_polygon_halfspace(poly, normal, offset):
-    """Clip a convex 2D polygon to the halfspace normal . x <= offset.
-
-    poly is an (n, 2) array of vertices in boundary order. Returns the
-    clipped polygon (possibly empty) in the same orientation.
-    """
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) == 0:
-        return poly
-    vals = poly @ np.asarray(normal, dtype=float) - offset
-    out = []
-    n = len(poly)
-    for i in range(n):
-        j = (i + 1) % n
-        a, b = poly[i], poly[j]
-        fa, fb = vals[i], vals[j]
-        if fa <= 0.0:
-            out.append(a)
-        if (fa < 0.0 < fb) or (fb < 0.0 < fa):
-            t = fa / (fa - fb)
-            out.append(a + t * (b - a))
-    return np.asarray(out, dtype=float).reshape(-1, 2)
 
 
 def polygon_area(poly) -> float:

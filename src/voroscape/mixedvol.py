@@ -3,9 +3,12 @@
 For a Delaunay p-cell and its dual Voronoi (d-p)-cell the mixed volume is
 the product of their intrinsic volumes; summed over the p-cells contained in
 a ball of radius R it approaches nu_d C(d,p) R^d, with the discrepancy
-carried by cells whose pivot ball reaches the boundary. The p = 0 and p = d
-cases degenerate to the Voronoi and Delaunay partitions of the ball, which
-are exposed separately as exact clipped sums.
+carried by cells whose pivot ball reaches the boundary. One vectorized sum
+serves every (d, p): dual volumes come from Mosaic.dual_volumes and the
+pivot is the circumcenter of the p-cell; only the unbounded duals of hull
+cells are measured one by one. The p = 0 and p = d cases degenerate to the
+Voronoi and Delaunay partitions of the ball, which are exposed separately
+as exact clipped sums.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from math import comb
 
 import numpy as np
 
-from .delaunay import DualCell, Mosaic, clipped_voronoi_volumes, pivot_point, voronoi_dual
+from .delaunay import DualCell, Mosaic, clipped_voronoi_volumes, voronoi_dual
 from .errors import UnboundedCellError
 from .geometry import (PolytopeCell, affine_basis, polygon_disk_area,
-                       polytope_volume, simplex_volume)
+                       polytope_volume, simplex_volumes)
 from .pointproc import Window, unit_ball_volume
 
 
@@ -29,7 +32,8 @@ class MixedCell:
 
     boundary is True when the ball of radius R0 around the pivot z0 is not
     contained in the open window ball, which is exactly when the pair's tile
-    can leak measure across the window boundary.
+    can leak measure across the window boundary. R0 is infinite for the
+    unbounded duals of hull cells.
     """
 
     owner_dim: int
@@ -71,16 +75,22 @@ def tile_measure(c: MixedCell, d: int, p: int) -> float:
     return c.mixed_volume / comb(d, p)
 
 
-def _dual_volume(m: Mosaic, dual: DualCell, clip_reach: float) -> float:
-    """Intrinsic volume of a dual cell; unbounded duals are extended along
-    their rays out to clip_reach, a reporting-only approximation."""
+def _unbounded_dual_volume(dual: DualCell, clip_reach: float) -> float:
+    """Volume of an unbounded dual cut off along its rays at clip_reach, a
+    reporting-only approximation."""
     verts = dual.vertices
-    if dual.bounded:
-        basis = dual.direction_basis()
-        return polytope_volume(PolytopeCell(verts, basis, bounded=True))
     rays = dual.rays / np.linalg.norm(dual.rays, axis=1)[:, None]
     cloud = np.vstack([verts] + [verts + clip_reach * r for r in rays])
     return polytope_volume(PolytopeCell(cloud, affine_basis(cloud), bounded=True))
+
+
+def _pairs(m: Mosaic, p: int, idx: np.ndarray, clip_reach: float):
+    """Mixed volumes, pivots z0 and reach radii R0 of the p-cells idx."""
+    dual = m.dual_volumes(p)[idx]
+    for j in np.nonzero(np.isinf(dual))[0]:
+        dual[j] = _unbounded_dual_volume(voronoi_dual(m, p, int(idx[j])), clip_reach)
+    mixed = simplex_volumes(m.sites[m.cells[p][idx]]) * dual
+    return mixed, m.circumcenters(p)[idx], m.reach(p)[idx]
 
 
 def mixed_cell(m: Mosaic, p: int, idx: int, R: float,
@@ -89,62 +99,10 @@ def mixed_cell(m: Mosaic, p: int, idx: int, R: float,
     center = np.zeros(m.d) if center is None else np.asarray(center, dtype=float)
     if clip_reach is None:
         clip_reach = 4.0 * (R + float(m.top_circumradii.max()))
-    dual = voronoi_dual(m, p, idx)
-    vol_cell = m.cell_volume(p, idx)
-    vol_dual = _dual_volume(m, dual, clip_reach)
-    z0 = pivot_point(m, p, idx, dual)
-    gamma = m.sites[m.cells[p][idx]]
-    dverts = dual.vertices
-    if not dual.bounded:
-        rays = dual.rays / np.linalg.norm(dual.rays, axis=1)[:, None]
-        dverts = np.vstack([dverts] + [dverts + clip_reach * r for r in rays])
-    pair_d = np.linalg.norm(gamma[:, None, :] - dverts[None, :, :], axis=2)
-    R0 = float(pair_d.max())
-    boundary = (not dual.bounded) or \
-        float(np.linalg.norm(z0 - center)) + R0 >= R
-    return MixedCell(p, idx, dual, vol_cell * vol_dual, z0, R0, boundary)
-
-
-def _fast_sum_d2_edges(m: Mosaic, R: float, center) -> tuple:
-    # vectorized d=2, p=1 accounting: interior edges have exactly two
-    # incident triangles, so everything reduces to batched arithmetic
-    edges = m.cells[1]
-    sites = m.sites
-    in_ball = (np.linalg.norm(sites[edges[:, 0]] - center, axis=1) <= R) & \
-              (np.linalg.norm(sites[edges[:, 1]] - center, axis=1) <= R)
-    indptr, tops = m._cofaces[1]
-    cnt = np.diff(indptr)
-    two = (cnt == 2) & in_ball
-    first = tops[indptr[two.nonzero()[0]]]
-    second = tops[indptr[two.nonzero()[0]] + 1]
-    e = edges[two]
-    elen = np.linalg.norm(sites[e[:, 1]] - sites[e[:, 0]], axis=1)
-    c1, c2 = m.top_circumcenters[first], m.top_circumcenters[second]
-    dlen = np.linalg.norm(c1 - c2, axis=1)
-    mixed = elen * dlen
-    # pivot: project a circumcenter onto the edge's line
-    a = sites[e[:, 0]]
-    u = (sites[e[:, 1]] - a) / elen[:, None]
-    z0 = a + np.einsum("ij,ij->i", c1 - a, u)[:, None] * u
-    r1 = np.maximum(np.linalg.norm(sites[e[:, 0]] - c1, axis=1),
-                    np.linalg.norm(sites[e[:, 0]] - c2, axis=1))
-    r2 = np.maximum(np.linalg.norm(sites[e[:, 1]] - c1, axis=1),
-                    np.linalg.norm(sites[e[:, 1]] - c2, axis=1))
-    R0 = np.maximum(r1, r2)
-    bnd = np.linalg.norm(z0 - center, axis=1) + R0 >= R
-    sum_int = float(mixed[~bnd].sum())
-    sum_bnd = float(mixed[bnd].sum())
-    n_bnd = int(bnd.sum())
-    # hull-boundary edges in the ball: unbounded duals, always boundary
-    onhull = m.boundary_mask(1) & in_ball
-    rest = onhull.nonzero()[0]
-    clip_reach = 4.0 * (R + float(m.top_circumradii.max()))
-    for idx in rest:
-        c = mixed_cell(m, 1, int(idx), R, center, clip_reach)
-        sum_bnd += c.mixed_volume
-        n_bnd += 1
-    n_cells = int(two.sum()) + len(rest)
-    return sum_int, sum_bnd, n_cells, n_bnd
+    mixed, z0, R0 = _pairs(m, p, np.array([idx]), clip_reach)
+    boundary = bool(np.linalg.norm(z0[0] - center) + R0[0] >= R)
+    return MixedCell(p, idx, voronoi_dual(m, p, idx), float(mixed[0]), z0[0],
+                     float(R0[0]), boundary)
 
 
 def mixed_volume_sum(m: Mosaic, p: int, R: float, center=None,
@@ -160,24 +118,14 @@ def mixed_volume_sum(m: Mosaic, p: int, R: float, center=None,
     d = m.d
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     predicted = unit_ball_volume(d) * comb(d, p) * R ** d
-    if d == 2 and p == 1:
-        si, sb, nc, nb = _fast_sum_d2_edges(m, R, center)
-    else:
-        cells = m.cells[p]
-        dist = np.linalg.norm(m.sites - center, axis=1)
-        keep = np.all(dist[cells] <= R, axis=1)
-        clip_reach = 4.0 * (R + float(m.top_circumradii.max()))
-        si = sb = 0.0
-        nc = nb = 0
-        for idx in np.nonzero(keep)[0]:
-            c = mixed_cell(m, p, int(idx), R, center, clip_reach)
-            nc += 1
-            if c.boundary:
-                sb += c.mixed_volume
-                nb += 1
-            else:
-                si += c.mixed_volume
-    return MixedSumReport(d, p, R, si, sb, predicted, si / predicted, nc, nb, seed)
+    dist = np.linalg.norm(m.sites - center, axis=1)
+    idx = np.nonzero(np.all(dist[m.cells[p]] <= R, axis=1))[0]
+    clip_reach = 4.0 * (R + float(m.top_circumradii.max()))
+    mixed, z0, R0 = _pairs(m, p, idx, clip_reach)
+    bnd = np.linalg.norm(z0 - center, axis=1) + R0 >= R
+    si, sb = float(mixed[~bnd].sum()), float(mixed[bnd].sum())
+    return MixedSumReport(d, p, R, si, sb, predicted, si / predicted, len(idx),
+                          int(bnd.sum()), seed)
 
 
 def partition_sum(m: Mosaic, p: int, R: float, center=None,
@@ -186,9 +134,10 @@ def partition_sum(m: Mosaic, p: int, R: float, center=None,
 
     p = 0: Voronoi cells clipped to B(R) tile the ball, so the sum of their
     clipped volumes is nu_d R^d exactly. p = d: the Delaunay cells clipped
-    to B(R) do the same. Both go through the clipping code path, making the
-    ratio a correctness check on that geometry rather than a statistical
-    estimate; d = 2 only, where the clipping is exact.
+    to B(R) do the same. Cells inside the ball count whole and only cells
+    crossing the circle are clipped, making the ratio a correctness check on
+    that geometry rather than a statistical estimate; d = 2 only, where the
+    clipping is exact.
     """
     d = m.d
     if p not in (0, d):
@@ -198,25 +147,21 @@ def partition_sum(m: Mosaic, p: int, R: float, center=None,
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     predicted = unit_ball_volume(d) * comb(d, p) * R ** d
     if p == 0:
-        w = Window("ball", center, R)
-        vols = clipped_voronoi_volumes(m, w)
+        vols = clipped_voronoi_volumes(m, Window("ball", center, R))
         total = float(vols.sum())
         n = int(np.sum(vols > 0.0))
     else:
-        tops = m.cells[d]
-        verts = m.sites[tops]
-        inball = np.linalg.norm(verts - center, axis=2) <= R
-        total = 0.0
-        n = 0
-        full = np.all(inball, axis=1)
-        for t in np.nonzero(full)[0]:
-            total += simplex_volume(verts[t])
-            n += 1
-        for t in np.nonzero(~full)[0]:
-            a = polygon_disk_area(verts[t], center, R)
-            if a > 0.0:
-                total += a
-                n += 1
+        verts = m.sites[m.cells[d]]
+        full = np.all(np.linalg.norm(verts - center, axis=2) <= R, axis=1)
+        # a triangle lies in its closed circumdisk, so one whose circumdisk
+        # misses the open disk has no area inside it
+        reach = (np.linalg.norm(m.top_circumcenters - center, axis=1)
+                 < R + m.top_circumradii)
+        whole = simplex_volumes(verts[full])
+        cut = np.array([polygon_disk_area(verts[t], center, R)
+                        for t in np.nonzero(reach & ~full)[0]])
+        total = float(whole.sum() + cut.sum())
+        n = len(whole) + int(np.sum(cut > 0.0))
     return MixedSumReport(d, p, R, total, 0.0, predicted, total / predicted, n, 0, seed)
 
 
@@ -247,18 +192,10 @@ def regularity_report(m: Mosaic, R: float, center=None) -> RegularityReport:
     rmax, rmean = float(m.top_circumradii.max()), float(m.top_circumradii.mean())
     cc_in = np.linalg.norm(m.top_circumcenters - center, axis=1) <= R
     empty_ball = float(m.top_circumradii[cc_in].max()) if np.any(cc_in) else 0.0
-    shares = {}
-    unbounded = False
-    dist = np.linalg.norm(m.sites - center, axis=1)
-    for p in range(d + 1):
-        cells = m.cells[p]
-        keep = np.all(dist[cells] <= R, axis=1)
-        share = 0.0
-        for idx in np.nonzero(keep)[0]:
-            c = mixed_cell(m, p, int(idx), R, center)
-            if not c.dual.bounded:
-                unbounded = True
-            if c.boundary:
-                share += c.mixed_volume / comb(d, p)
-        shares[p] = share / R ** d
+    shares = {p: mixed_volume_sum(m, p, R, center).sum_boundary / comb(d, p) / R ** d
+              for p in range(d + 1)}
+    # a hull cell inside the ball has its vertices there, and hull vertices
+    # have unbounded duals themselves
+    inside = np.linalg.norm(m.sites - center, axis=1) <= R
+    unbounded = bool(np.any(m.boundary_mask(0) & inside))
     return RegularityReport(rmax, rmean, empty_ball, shares, unbounded)

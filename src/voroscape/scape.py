@@ -304,7 +304,11 @@ def voronoi_scape_flat(m: Mosaic, probe: Probe) -> Scape:
     y0 = y[wtops[:, 0]]
     A = 2.0 * (y[wtops[:, 1:]] - y0[:, None, :])
     rhs = lift[wtops[:, 1:]] - lift[wtops[:, 0]][:, None]
-    centers = np.linalg.solve(A, rhs[..., None])[..., 0]
+    try:
+        centers = np.linalg.solve(A, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInputError(
+            "degenerate power diagram (flat weighted cell)") from exc
     if probe.region == "box":
         inside = np.all(np.abs(centers) <= probe.extent, axis=1)
     else:

@@ -8,12 +8,14 @@ from math import pi
 import numpy as np
 import pytest
 
+from voroscape import experiments
 from voroscape.cli import main
-from voroscape.errors import CoverageError
-from voroscape.experiments import (ExperimentSpec, default_margin,
+from voroscape.errors import (ConsistencyError, CoverageError,
+                              DegenerateInputError, UnboundedCellError)
+from voroscape.experiments import (WORKERS_ENV, ExperimentSpec, default_margin,
                                    expected_interior_sites, mixedvol_spec,
                                    moments_spec, path_spec, run_constants,
-                                   run_experiment, scape_spec)
+                                   run_experiment, scape_spec, worker_count)
 from voroscape.pointproc import poisson, unit_box_window
 
 
@@ -59,6 +61,33 @@ def test_trial_abort_reports_seed():
     spec = path_spec(2, 20, 0.9, 30, seed=5, margin=1e-6)
     with pytest.raises(CoverageError, match=r"trial seed \[5, \d+\]"):
         run_experiment(spec)
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, CoverageError,
+                                   DegenerateInputError, UnboundedCellError])
+def test_trial_errors_name_their_seed(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("stage failed")
+
+    monkeypatch.setattr(experiments, "build_mosaic", fail)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    with pytest.raises(error, match=r"^stage failed \(trial seed \[7, 0\]\)$"):
+        run_experiment(path_spec(2, 200, 0.3, 3, seed=7))
+
+
+def test_worker_count_validation(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    assert worker_count(8) == 1
+    monkeypatch.setenv(WORKERS_ENV, "")
+    assert worker_count(8) == 1
+    for bad in ("two", "1.5", "0", "-3"):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            worker_count(8)
+    # only the count is computed here; no pool of this size is started
+    monkeypatch.setenv(WORKERS_ENV, str(10 ** 6))
+    assert worker_count(10 ** 7) == os.cpu_count()
+    assert worker_count(1) == 1
 
 
 # ---------------- determinism and aggregation ----------------

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from voroscape.errors import DegenerateInputError, UnboundedCellError
 from voroscape.geometry import (Frame, PolytopeCell, Simplex, affine_basis,
-                                circumsphere, clip_polygon_halfspace,
-                                frame_projection_volume, orthonormalize,
-                                polygon_area, polygon_disk_area,
-                                polytope_volume, simplex_volume)
+                                circumsphere, frame_projection_volume,
+                                orthonormalize, polygon_area,
+                                polygon_disk_area, polytope_volume,
+                                simplex_volume)
 from voroscape.moments import sample_stiefel
 
 
@@ -218,12 +218,6 @@ def test_orthonormalize_spans_same_subspace():
 
 
 # ---------------- polygon helpers ----------------
-
-def test_clip_polygon_halfspace_square():
-    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    half = clip_polygon_halfspace(sq, np.array([1.0, 0.0]), 0.5)
-    assert polygon_area(half) == pytest.approx(0.5)
-
 
 def test_polygon_disk_area_exact():
     # big square clipped to unit disk: area pi; tiny square: own area

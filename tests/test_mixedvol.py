@@ -1,18 +1,27 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from voroscape.delaunay import (build_mosaic, clipped_voronoi_volumes,
+from voroscape.delaunay import (PIVOT_TOL, build_mosaic,
+                                clipped_voronoi_volumes, pivot_point,
                                 voronoi_dual)
 from voroscape.errors import UnboundedCellError
+from voroscape.geometry import simplex_volume
 from voroscape.mixedvol import (MixedCell, mixed_cell, mixed_volume_sum,
                                 partition_sum, regularity_report,
                                 tile_measure)
 from voroscape.pointproc import (Window, lattice, poisson, sample,
                                  unit_ball_volume, unit_box_window)
 
+ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]])
 
 
@@ -20,6 +29,55 @@ def ball_mosaic(d, rho, radius, seed):
     w = Window("ball", np.zeros(d), radius)
     pts = sample(poisson(rho), w, seed)
     return build_mosaic(pts), pts
+
+
+def qhull_dual_volume(m, k, idx):
+    """Reference volume of a bounded dual: Qhull on its vertices in the
+    coordinates of its own (d-k)-dimensional affine hull."""
+    v = voronoi_dual(m, k, idx).vertices
+    n = m.d - k
+    if n == 0:
+        return 1.0
+    coords = (v - v[0]) @ np.linalg.svd(v - v[0])[2][:n].T
+    return float(np.ptp(coords)) if n == 1 else ConvexHull(coords).volume
+
+
+def reference_pair(m, p, idx, R):
+    """(mixed volume, boundary) of a p-cell against B(0, R), from the Qhull
+    dual volume and the brute-force reach: the largest distance from a cell
+    vertex to a dual vertex. Unbounded duals give (None, True)."""
+    dual = voronoi_dual(m, p, idx)
+    if not dual.bounded:
+        return None, True
+    gamma = m.sites[m.cells[p][idx]]
+    R0 = np.linalg.norm(gamma[:, None, :] - dual.vertices[None, :, :], axis=2).max()
+    z0 = pivot_point(m, p, idx, dual)
+    mixed = simplex_volume(gamma) * qhull_dual_volume(m, p, idx)
+    return mixed, bool(np.linalg.norm(z0) + R0 >= R)
+
+
+# ---------------- dual volumes ----------------
+
+def test_thin_pyramids_count_in_3d_dual_volume():
+    # a large 3D Voronoi cell whose cones over some facets are long and thin;
+    # a fan that drops thin simplices reports 133.71 here
+    m = build_mosaic(sample(poisson(1000), unit_box_window(3), 3))
+    ref = qhull_dual_volume(m, 0, 476)
+    assert ref == pytest.approx(338.66, abs=0.01)
+    assert mixed_cell(m, 0, 476, 0.3).mixed_volume == pytest.approx(ref, rel=1e-6)
+
+
+def test_dual_volumes_match_qhull_and_circumcenters_are_pivots():
+    for d, rho in ((2, 2000), (3, 1000)):
+        m = build_mosaic(sample(poisson(rho), unit_box_window(d), 3))
+        for k in range(d + 1):
+            vols = m.dual_volumes(k)
+            hull = m.boundary_mask(k)
+            assert np.all(np.isinf(vols[hull])) and np.all(np.isfinite(vols[~hull]))
+            for idx in np.nonzero(~hull)[0][::13]:
+                assert vols[idx] == pytest.approx(qhull_dual_volume(m, k, idx), rel=1e-6)
+                z0 = pivot_point(m, k, int(idx), check=True)
+                assert np.linalg.norm(m.circumcenters(k)[idx] - z0) <= PIVOT_TOL
 
 
 # ---------------- tile measure ----------------
@@ -95,26 +153,30 @@ def test_report_schema():
     assert doc["seed"] == 3
 
 
-def test_fast_path_matches_generic():
-    # d=2 p=1 has a vectorized route; it must agree with per-cell evaluation
-    m, _ = ball_mosaic(2, 1500, 0.5, 4)
-    R = 0.3
-    rep = mixed_volume_sum(m, 1, R)
-    slow_interior = 0.0
-    n_bnd = 0
+def assert_sum_matches_reference(m, p, R):
+    rep = mixed_volume_sum(m, p, R)
     dist = np.linalg.norm(m.sites, axis=1)
-    keep = np.nonzero(np.all(dist[m.cells[1]] <= R, axis=1))[0]
+    keep = np.nonzero(np.all(dist[m.cells[p]] <= R, axis=1))[0]
+    interior = 0.0
+    n_bnd = 0
     for idx in keep:
-        c = mixed_cell(m, 1, int(idx), R)
-        if c.boundary:
+        mixed, boundary = reference_pair(m, p, int(idx), R)
+        if boundary:
             n_bnd += 1
         else:
-            slow_interior += c.mixed_volume
+            interior += mixed
     assert rep.n_cells == len(keep)
-    assert rep.n_boundary == n_bnd
-    assert rep.sum_interior == pytest.approx(slow_interior, rel=1e-9)
+    assert rep.n_boundary == n_bnd < len(keep)
+    assert rep.sum_interior == pytest.approx(interior, rel=1e-9)
 
 
+def test_mixed_sum_matches_qhull_reference():
+    # the vectorized sum against per-cell Qhull volumes and brute-force reach
+    m, _ = ball_mosaic(2, 1500, 0.5, 4)
+    assert_sum_matches_reference(m, 1, 0.3)
+    m, _ = ball_mosaic(3, 2000, 0.5, 4)
+    for p in range(4):
+        assert_sum_matches_reference(m, p, 0.3)
 def test_partition_identities():
     m, _ = ball_mosaic(2, 3000, 0.5, 5)
     for p in (0, 2):
@@ -124,21 +186,23 @@ def test_partition_identities():
 
 def test_p0_interior_sum_matches_clipped_partition():
     """Interior p=0 mixed volumes are whole Voronoi cells; the clipped
-    partition route must produce the same volume for those same cells."""
-    m, pts = ball_mosaic(2, 2000, 0.5, 6)
+    partition must give those cells their Qhull volume, and the interior
+    sum must match the reference. 3D clips a box window."""
     R = 0.3
-    clipped = clipped_voronoi_volumes(m, Window("ball", np.zeros(2), R))
-    inside = np.nonzero(np.linalg.norm(pts, axis=1) <= R)[0]
-    checked = 0
-    for idx in inside:
-        c = mixed_cell(m, 0, int(idx), R)
-        if c.boundary:
-            continue
-        assert c.mixed_volume == pytest.approx(clipped[idx], rel=1e-6)
-        checked += 1
-    assert checked > 20
-
-
+    for d, rho, kind in ((2, 2000, "ball"), (3, 2000, "box")):
+        m, pts = ball_mosaic(d, rho, 0.5, 6)
+        clipped = clipped_voronoi_volumes(m, Window(kind, np.zeros(d), R))
+        interior = 0.0
+        checked = 0
+        for idx in np.nonzero(np.linalg.norm(pts, axis=1) <= R)[0]:
+            mixed, boundary = reference_pair(m, 0, int(idx), R)
+            if boundary:
+                continue
+            assert clipped[idx] == pytest.approx(mixed, rel=1e-9)
+            interior += mixed
+            checked += 1
+        assert checked > 20
+        assert mixed_volume_sum(m, 0, R).sum_interior == pytest.approx(interior, rel=1e-9)
 def test_predictions_symmetric_in_p():
     m, _ = ball_mosaic(2, 1000, 0.5, 7)
     r0 = mixed_volume_sum(m, 0, 0.3)
@@ -196,3 +260,15 @@ def test_regularity_boundary_share_trend():
         small.append(regularity_report(m, 0.15).boundary_tile_share[1])
         big.append(regularity_report(m, 0.30).boundary_tile_share[1])
     assert np.mean(big) < np.mean(small)
+
+
+# ---------------- demo ----------------
+
+def test_mixed_volume_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "05_mixed_volumes.py")],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert re.findall(r"p=[02]: .* ratio (\S+)", proc.stdout) == ["1.00000000"] * 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voroscape.delaunay import build_mosaic, nearest_site
-from voroscape.errors import CoverageError
+from voroscape.errors import CoverageError, DegenerateInputError
 from voroscape.geometry import Frame
 from voroscape.moments import sample_stiefel
 from voroscape.pointproc import poisson, sample, unit_box_window
@@ -157,6 +157,19 @@ def test_flat_patch_multiplicities_one():
     assert len(s.entries) > 0
     assert all(e.multiplicity == 1 for e in s.entries)
     assert s.p == 2
+
+
+def test_singular_power_solve_is_degenerate(monkeypatch):
+    m, _ = poisson_mosaic(3, 200, 8)
+    probe = flat_patch_probe(sample_stiefel(2, 3, np.random.default_rng(9)),
+                             np.full(3, 0.5), "box", [0.15, 0.15])
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(DegenerateInputError, match="power diagram"):
+        voronoi_scape_flat(m, probe)
 
 
 def test_tiny_patch_empty_scape():
