@@ -1,25 +1,32 @@
-"""Delaunay mosaics in R^d via paraboloid lifting, with the full face lattice
-and dual Voronoi cell geometry.
+"""Delaunay mosaics in R^d via paraboloid lifting, with the face lattice and
+dual Voronoi cell geometry.
 
 The construction lifts each site x to (x, |x|^2) in R^(d+1) and keeps the
 lower facets of the convex hull; their projections are exactly the
-top-dimensional Delaunay cells. Faces of every dimension are enumerated from
-the tops, so incidences come for free. d = 2 and 3 are the supported scales,
-d = 4 works but is not tuned, d >= 5 is rejected.
+top-dimensional Delaunay cells. The lift uses the sites centered on their
+centroid and scaled to unit size, so the triangulation does not depend on
+where the sites sit. Faces of lower dimension are enumerated from the tops,
+one dimension at a time on its first read, so incidences come for free and
+a workload builds only the dimensions it reads. Each face is one int64 key
+in base n (the site count), which limits d = 4 to 55,108 sites. d = 2 and 3
+are the supported scales, d = 4 works but is not tuned, d >= 5 is rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
-from .geometry import (Frame, affine_basis, circumcenters, polygon_disk_area,
-                       simplex_volume)
+from .geometry import (Frame, Simplex, affine_basis, circumcenters,
+                       polygon_disk_area, simplex_volume)
 from .pointproc import Window
 
 LIFT_TOL = 1e-10        # lower-facet test on lifted hull normals
@@ -27,6 +34,7 @@ EMPTY_SPHERE_TOL = 1e-9  # relative slack in the empty-circumsphere oracle
 PIVOT_TOL = 1e-7        # agreement of the two pivot-point computations
 
 MAX_DIM = 4
+MAX_KEY = 2 ** 63       # packed face keys below n**d must fit an int64
 
 
 def lower_hull_simplices(lifted, tol=LIFT_TOL):
@@ -40,8 +48,7 @@ def lower_hull_simplices(lifted, tol=LIFT_TOL):
     n, dim1 = lifted.shape
     if n == dim1:
         # exactly one simplex; its lifted hull is flat, so skip Qhull
-        base = lifted[:, :-1]
-        if simplex_volume(base) <= 0.0:
+        if Simplex(lifted[:, :-1]).degenerate:
             raise DegenerateInputError(
                 f"degenerate configuration ({n} affinely dependent points)")
         return np.arange(n, dtype=np.int32)[None, :]
@@ -52,7 +59,9 @@ def lower_hull_simplices(lifted, tol=LIFT_TOL):
             f"degenerate configuration ({n} points, cospherical or flat)") from exc
     low = hull.equations[:, dim1 - 1] < -tol
     tops = np.sort(hull.simplices[low], axis=1)
-    return np.unique(tops, axis=0)
+    tops = tops[np.lexsort(tops.T[::-1])]
+    # site indices are nonnegative, so the -1 row keeps the first row
+    return tops[np.any(np.diff(tops, axis=0, prepend=-1) != 0, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -85,24 +94,110 @@ class DualCell:
         return self.direction_basis().p
 
 
+class _Level(NamedTuple):
+    cells: np.ndarray       # (m_k, k+1) sorted site indices, lexicographic rows
+    keys: np.ndarray        # packed row keys, increasing; None at k = d
+    cofaces: tuple          # CSR (indptr, top indices) per cell
+    top_faces: np.ndarray   # (n_tops, C(d+1, k+1)) cell index per top subset
+
+
+class FaceLattice(Mapping):
+    """Delaunay k-cells for k = 0..d, each dimension built on its first read.
+
+    self[k] is an (m_k, k+1) int32 array of sorted site indices in
+    lexicographic row order. A row packs into the int64 key sum_i
+    row[i] * n**(k-i), which orders keys as the rows; one 1-D unique over
+    the keys of every (k+1)-subset of every top gives the cells, and its
+    inverse gives the cofaces and top_faces. Holds only the tops and n, no
+    reference to its mosaic, so a mosaic is freed by reference counting.
+    """
+
+    def __init__(self, tops: np.ndarray, n: int):
+        self.tops = tops
+        self.n = n
+        self.d = tops.shape[1] - 1
+        n_tops = len(tops)
+        self._levels = {self.d: _Level(
+            tops, None, (np.arange(n_tops + 1), np.arange(n_tops)),
+            np.arange(n_tops, dtype=np.int32)[:, None])}
+
+    def __getitem__(self, k) -> np.ndarray:
+        return self._level(k).cells
+
+    def __iter__(self):
+        return iter(range(self.d + 1))
+
+    def __len__(self) -> int:
+        return self.d + 1
+
+    def __contains__(self, k) -> bool:
+        return k in range(self.d + 1)
+
+    def cofaces(self, k: int) -> tuple:
+        """CSR (indptr, top indices) of the top cells containing each k-cell."""
+        return self._level(k).cofaces
+
+    def top_faces(self, k: int) -> np.ndarray:
+        """top_faces(k)[t, j]: the k-cell on the j-th (k+1)-subset, in
+        combinations order, of top cell t's vertices."""
+        return self._level(k).top_faces
+
+    def index(self, k: int, vertex_tuple) -> int:
+        """Index of a k-cell given its sorted site indices; KeyError if absent."""
+        row = tuple(int(v) for v in vertex_tuple)
+        # only a strictly increasing row of site indices packs to its own key
+        if (k not in self or len(row) != k + 1 or list(row) != sorted(set(row))
+                or row[0] < 0 or row[-1] >= self.n):
+            raise KeyError(row)
+        if k == self.d:
+            # a top is a coface of its facet on its first d vertices
+            indptr, tops = self.cofaces(k - 1)
+            f = self.index(k - 1, row[:-1])
+            for t in tops[indptr[f]:indptr[f + 1]]:
+                if tuple(self.tops[t].tolist()) == row:
+                    return int(t)
+            raise KeyError(row)
+        key = 0
+        for v in row:
+            key = key * self.n + v
+        keys = self._level(k).keys
+        i = int(np.searchsorted(keys, key))
+        if i == len(keys) or keys[i] != key:
+            raise KeyError(row)
+        return i
+
+    def _level(self, k) -> _Level:
+        if k not in self._levels:
+            if k not in self:
+                raise KeyError(k)
+            tops, n = self.tops, self.n
+            subs = np.array(list(combinations(range(self.d + 1), k + 1)))
+            place = np.int64(n) ** np.arange(k, -1, -1)
+            # subset j of top t sits at j * len(tops) + t
+            keys, inv = np.unique((tops[:, subs] @ place).T.ravel(),
+                                  return_inverse=True)
+            order = np.argsort(inv, kind="stable")
+            indptr = np.searchsorted(inv[order], np.arange(len(keys) + 1))
+            self._levels[k] = _Level(
+                (keys[:, None] // place % n).astype(np.int32), keys,
+                (indptr, (order % len(tops)).astype(np.int32)),
+                inv.reshape(len(subs), len(tops)).T.astype(np.int32))
+        return self._levels[k]
+
+
 class Mosaic:
     """Immutable Delaunay mosaic over a finite site set.
 
-    cells[k] is an (m_k, k+1) int array of sorted site indices in
-    lexicographic row order; cofaces map each k-cell to the indices of the
-    top cells containing it. top_faces[k][t, j] indexes the k-cell on the
-    j-th (k+1)-subset, in combinations order, of top cell t's vertices.
+    cells is the FaceLattice: cells[k] is an (m_k, k+1) int array of sorted
+    site indices in lexicographic row order, built on its first read, and
+    cells.cofaces(k) maps each k-cell to the indices of the top cells
+    containing it. Top circumcenters and radii are computed on first read.
     """
 
-    def __init__(self, sites, cells, cofaces, top_faces, circumcenters,
-                 circumradii, hull_facets, hull_normals, hull_offsets):
+    def __init__(self, sites, tops, hull_facets, hull_normals, hull_offsets):
         self.sites = sites
         self.d = sites.shape[1]
-        self.cells = cells
-        self._cofaces = cofaces
-        self._top_faces = top_faces
-        self.top_circumcenters = circumcenters
-        self.top_circumradii = circumradii
+        self.cells = FaceLattice(tops, len(sites))
         self.hull_facets = hull_facets
         self.hull_normals = hull_normals
         self.hull_offsets = hull_offsets
@@ -111,7 +206,6 @@ class Mosaic:
         self._circumcenters = {}
         self._dual_volumes = {}
         self._neighbors = None
-        self._cell_index = {}
 
     # -- structure lookups ------------------------------------------------
 
@@ -120,15 +214,12 @@ class Mosaic:
 
     def cofaces_of(self, k: int, idx: int) -> np.ndarray:
         """Indices of the top cells incident to the given k-cell."""
-        indptr, tops = self._cofaces[k]
+        indptr, tops = self.cells.cofaces(k)
         return tops[indptr[idx]:indptr[idx + 1]]
 
     def cell_index(self, k: int, vertex_tuple) -> int:
         """Index of a k-cell given its sorted site indices; KeyError if absent."""
-        if k not in self._cell_index:
-            rows = self.cells[k]
-            self._cell_index[k] = {tuple(row): i for i, row in enumerate(rows.tolist())}
-        return self._cell_index[k][tuple(vertex_tuple)]
+        return self.cells.index(k, vertex_tuple)
 
     def facets(self, k: int) -> np.ndarray:
         """Indices into cells[k-1] of the facets of each k-cell, column q
@@ -137,10 +228,10 @@ class Mosaic:
             slot = {s: j for j, s in enumerate(combinations(range(self.d + 1), k))}
             table = np.array([[slot[s[:q] + s[q + 1:]] for q in range(k + 1)]
                               for s in combinations(range(self.d + 1), k + 1)])
-            indptr, tops = self._cofaces[k]
+            indptr, tops = self.cells.cofaces(k)
             t = tops[indptr[:-1]]
-            j = np.argmax(self._top_faces[k][t] == np.arange(len(t))[:, None], axis=1)
-            self._facets[k] = self._top_faces[k - 1][t[:, None], table[j]]
+            j = np.argmax(self.cells.top_faces(k)[t] == np.arange(len(t))[:, None], axis=1)
+            self._facets[k] = self.cells.top_faces(k - 1)[t[:, None], table[j]]
         return self._facets[k]
 
     def boundary_mask(self, k: int) -> np.ndarray:
@@ -149,7 +240,7 @@ class Mosaic:
         if k not in self._boundary_masks:
             mask = np.zeros(self.n_cells(k), dtype=bool)
             if k == self.d - 1:
-                mask = np.diff(self._cofaces[k][0]) == 1
+                mask = np.diff(self.cells.cofaces(k)[0]) == 1
             elif k < self.d:
                 mask[self.facets(k + 1)[self.boundary_mask(k + 1)]] = True
             self._boundary_masks[k] = mask
@@ -170,6 +261,15 @@ class Mosaic:
 
     # -- geometry ----------------------------------------------------------
 
+    @cached_property
+    def top_circumcenters(self) -> np.ndarray:
+        return circumcenters(self.sites[self.cells[self.d]])
+
+    @cached_property
+    def top_circumradii(self) -> np.ndarray:
+        tops = self.cells[self.d]
+        return np.linalg.norm(self.top_circumcenters - self.sites[tops[:, 0]], axis=1)
+
     def cell_volume(self, k: int, idx: int) -> float:
         return simplex_volume(self.sites[self.cells[k][idx]])
 
@@ -185,7 +285,7 @@ class Mosaic:
         """Largest distance from a k-cell's vertices to its dual's vertices,
         inf for hull cells. The vertices lie on the circumsphere of each top
         coface, centered on a dual vertex, so this is the largest radius."""
-        indptr, tops = self._cofaces[k]
+        indptr, tops = self.cells.cofaces(k)
         return np.where(self.boundary_mask(k), np.inf,
                         np.maximum.reduceat(self.top_circumradii[tops], indptr[:-1]))
 
@@ -229,9 +329,11 @@ def build_mosaic(points, d=None) -> Mosaic:
     """Delaunay mosaic of a finite point set in general position.
 
     Lifts to the paraboloid, takes lower hull facets as top cells, and
-    enumerates every face dimension with coface incidences. Degenerate
-    inputs (all on a sphere, affinely flat, too few points) raise
-    DegenerateInputError.
+    builds the site hull; every lower face dimension, with its coface
+    incidences, is enumerated on its first read. Degenerate inputs (all on
+    a sphere, affinely flat, too few points) raise DegenerateInputError;
+    more than 55,108 sites in d = 4 (n**d > 2**63, beyond the packed face
+    keys) raise ValueError before any hull is computed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -245,35 +347,29 @@ def build_mosaic(points, d=None) -> Mosaic:
     if n < d + 1:
         raise DegenerateInputError(
             f"degenerate configuration ({n} points cannot span R^{d})")
+    if n ** d > MAX_KEY:
+        raise ValueError(f"{n} sites in R^{d} exceed the packed face keys "
+                         f"(n**d <= 2**63)")
 
-    lifted = np.column_stack([pts, np.einsum("ij,ij->i", pts, pts)])
+    # lifting raw coordinates loses the lower hull to round-off once the
+    # offset of the sites dwarfs their spread
+    unit = pts - pts.mean(axis=0)
+    unit /= np.abs(unit).max() or 1.0
+    lifted = np.column_stack([unit, np.einsum("ij,ij->i", unit, unit)])
     tops = lower_hull_simplices(lifted).astype(np.int32)
 
-    n_tops = len(tops)
-    cells = {d: tops}
-    cofaces = {d: (np.arange(n_tops + 1), np.arange(n_tops))}
-    top_faces = {d: np.arange(n_tops, dtype=np.int32)[:, None]}
-    for k in range(d - 1, -1, -1):
-        subs = list(combinations(range(d + 1), k + 1))
-        stacked = np.concatenate([tops[:, s] for s in subs])
-        owners = np.tile(np.arange(n_tops, dtype=np.int32), len(subs))
-        uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        indptr = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
-        cells[k] = uniq
-        cofaces[k] = (indptr, owners[order])
-        top_faces[k] = inv.reshape(len(subs), n_tops).T.astype(np.int32)
+    if d == 1:
+        # Qhull takes no 1-D input; the hull of a line is its two end sites
+        ends = np.array([pts.argmin(), pts.argmax()], dtype=np.int32)
+        facets, normals = ends[:, None], np.array([[-1.0], [1.0]])
+        offsets = np.array([pts[ends[0], 0], -pts[ends[1], 0]])
+    else:
+        hull = ConvexHull(pts)
+        facets = np.sort(hull.simplices, axis=1).astype(np.int32)
+        normals = hull.equations[:, :d]
+        offsets = hull.equations[:, d]
 
-    centers = circumcenters(pts[tops])
-    radii = np.linalg.norm(centers - pts[tops[:, 0]], axis=1)
-
-    hull = ConvexHull(pts)
-    facets = np.sort(hull.simplices, axis=1).astype(np.int32)
-    normals = hull.equations[:, :d]
-    offsets = hull.equations[:, d]
-
-    return Mosaic(pts, cells, cofaces, top_faces, centers, radii, facets,
-                  normals, offsets)
+    return Mosaic(pts, tops, facets, normals, offsets)
 
 
 def voronoi_dual(m: Mosaic, k: int, idx: int) -> DualCell:
@@ -442,7 +538,7 @@ def clipped_voronoi_volumes(m: Mosaic, window: Window) -> np.ndarray:
     if m.d != 2 and window.kind != "box":
         raise ValueError("ball windows are only clipped exactly in d = 2")
     out = np.zeros(len(m.sites))
-    indptr, tops = m._cofaces[0]
+    indptr, tops = m.cells.cofaces(0)
     top_in = window.contains(m.top_circumcenters)
     whole = np.logical_and.reduceat(top_in[tops], indptr[:-1]) & ~m.boundary_mask(0)
     out[whole] = m.dual_volumes(0)[whole]

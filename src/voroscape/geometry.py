@@ -118,11 +118,16 @@ class PolytopeCell:
 def simplex_volumes(v) -> np.ndarray:
     """k-dimensional volumes of a stack of k-simplices, v of shape (m, k+1, d).
 
-    sqrt(det(E E^T)) / k! with E the edge rows v_i - v_0; a point (k = 0)
-    has volume 1, the convention used by tile measures.
+    |det E| / k! for full-dimensional simplices (k = d), sqrt(det(E E^T)) / k!
+    below, with E the edge rows v_i - v_0; the Gram form squares the
+    condition number of E, which cancels away most digits of a thin
+    simplex's volume. A point (k = 0) has volume 1, the convention used by
+    tile measures.
     """
     v = np.asarray(v, dtype=float)
     e = v[:, 1:] - v[:, :1]
+    if e.shape[1] == e.shape[2]:
+        return np.abs(np.linalg.det(e)) / factorial(e.shape[1])
     det = np.linalg.det(np.einsum("mij,mlj->mil", e, e))
     return np.sqrt(np.maximum(det, 0.0)) / factorial(e.shape[1])
 
@@ -130,13 +135,12 @@ def simplex_volumes(v) -> np.ndarray:
 def simplex_volume(s) -> float:
     """k-dimensional volume of a k-simplex, via the Gram determinant.
 
-    Accepts a Simplex or a (k+1, d) vertex array. A degenerate simplex
-    (affinely dependent vertices within tolerance) yields 0.0; use
-    Simplex.degenerate to distinguish that case from a genuinely thin cell.
+    Accepts a Simplex or a (k+1, d) vertex array. The volume is the raw
+    Gram volume, so a thin simplex keeps its small volume and affinely
+    dependent vertices give 0 up to round-off; Simplex.degenerate is the
+    separate test for affine dependence within tolerance.
     """
     v = s.vertices if isinstance(s, Simplex) else _as_points(s)
-    if Simplex(v).degenerate:
-        return 0.0
     return float(simplex_volumes(v[None])[0])
 
 

@@ -1,8 +1,12 @@
+import gc
 import json
+import weakref
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 
+from voroscape import delaunay
 from voroscape.delaunay import (Mosaic, build_mosaic, circumradius_stats,
                                 clipped_voronoi_volumes, export_mosaic_json,
                                 nearest_site, pivot_point,
@@ -66,6 +70,90 @@ def test_matches_scipy_reference():
     assert got == ref
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("offset", [1e3, 1e4, 1e5, 1e6])
+def test_translated_sites_keep_their_tops(d, offset):
+    # lifting uncentered coordinates loses the lower hull to round-off:
+    # 1e3 changes the 2D triangulation, 1e5 makes it look degenerate
+    pts = sample(poisson(1000), unit_box_window(d), 3)
+    ref = build_mosaic(pts).cells[d]
+    assert np.array_equal(build_mosaic(pts + offset).cells[d], ref)
+
+
+def reference_lattice(tops):
+    """cells, cofaces and top_faces per k by 2-D unique over the sub-face
+    rows of every top, the enumeration the packed keys replace."""
+    d, n_tops = tops.shape[1] - 1, len(tops)
+    out = {d: (tops, (np.arange(n_tops + 1), np.arange(n_tops)),
+               np.arange(n_tops)[:, None])}
+    for k in range(d):
+        subs = list(combinations(range(d + 1), k + 1))
+        stacked = np.concatenate([tops[:, s] for s in subs])
+        owners = np.tile(np.arange(n_tops), len(subs))
+        uniq, inv = np.unique(stacked, axis=0, return_inverse=True)
+        inv = inv.ravel()
+        order = np.argsort(inv, kind="stable")
+        indptr = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
+        out[k] = (uniq, (indptr, owners[order]), inv.reshape(len(subs), n_tops).T)
+    return out
+
+
+@pytest.mark.parametrize("d, rho", [(1, 60), (2, 300), (3, 300), (4, 120)])
+def test_lattice_matches_reference(d, rho):
+    pts = sample(poisson(rho), unit_box_window(d), d)
+    m = build_mosaic(pts)
+    ref = reference_lattice(m.cells[d])
+    for k in range(d + 1):
+        cells, (indptr, tops), top_faces = ref[k]
+        assert np.array_equal(m.cells[k], cells)
+        assert np.array_equal(m.cells.cofaces(k)[0], indptr)
+        assert np.array_equal(m.cells.cofaces(k)[1], tops)
+        assert np.array_equal(m.cells.top_faces(k), top_faces)
+        if k:
+            below = {tuple(r): i for i, r in enumerate(ref[k - 1][0].tolist())}
+            facets = [[below[tuple(r[:q] + r[q + 1:])] for q in range(k + 1)]
+                      for r in cells.tolist()]
+            assert np.array_equal(m.facets(k), np.array(facets).reshape(-1, k + 1))
+        for i, row in enumerate(cells.tolist()):
+            assert m.cell_index(k, row) == i
+    absent = [(len(pts),), (0, 0), (1, 0), (-1, 0), (0,) * (d + 2)]
+    for k in (d - 1, d):
+        present = set(map(tuple, m.cells[k].tolist()))
+        rows = (r for r in combinations(range(len(pts)), k + 1) if r not in present)
+        absent += list(islice(rows, 3))
+    for row in absent:
+        with pytest.raises(KeyError):
+            m.cell_index(len(row) - 1, row)
+
+
+def test_face_keys_limit_checked_before_qhull(monkeypatch):
+    def no_hull(*args, **kwargs):
+        raise RuntimeError("hull computed")
+    monkeypatch.setattr(delaunay, "ConvexHull", no_hull)
+    pts = np.random.default_rng(0).uniform(size=(55109, 4))
+    with pytest.raises(ValueError, match="packed face keys"):
+        build_mosaic(pts)
+    with pytest.raises(RuntimeError, match="hull computed"):
+        build_mosaic(pts[:-1])   # 55108**4 < 2**63
+
+
+def test_mosaic_freed_without_cycle_collector():
+    # a reference cycle would keep every mosaic alive until a collection
+    m, _ = poisson_mosaic(3, 200, 0)
+    gc.disable()
+    try:
+        for k in range(m.d + 1):
+            m.cells[k], m.cells.cofaces(k), m.circumcenters(k)
+            if k:
+                m.facets(k)
+        m.neighbors, m.boundary_mask(0), m.dual_volumes(0), m.reach(0)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_cells_lexicographic_and_sorted_rows():
     m, _ = poisson_mosaic(2, 100, 1)
     for k, rows in m.cells.items():
@@ -105,6 +193,11 @@ def test_triangle_circumdata():
     m = build_mosaic(TRIANGLE)
     assert np.allclose(m.top_circumcenters[0], [1.0, 0.75], atol=1e-12)
     assert m.top_circumradii[0] == pytest.approx(1.25, rel=1e-12)
+
+
+def test_thin_triangle_keeps_its_area():
+    m = build_mosaic(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6], [0.5, 1.0]]))
+    assert m.cell_volume(2, m.cell_index(2, (0, 1, 2))) == pytest.approx(5e-7, rel=1e-9)
 
 
 def test_circumradius_stats_equilateral():
