@@ -26,7 +26,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateInputError
 from .geometry import (Frame, Simplex, affine_basis, circumcenters,
-                       polygon_disk_area, simplex_volume)
+                       polygon_disk_areas, simplex_volume)
 from .pointproc import Window
 
 LIFT_TOL = 1e-10        # lower-facet test on lifted hull normals
@@ -106,10 +106,10 @@ class FaceLattice(Mapping):
 
     self[k] is an (m_k, k+1) int32 array of sorted site indices in
     lexicographic row order. A row packs into the int64 key sum_i
-    row[i] * n**(k-i), which orders keys as the rows; one 1-D unique over
-    the keys of every (k+1)-subset of every top gives the cells, and its
-    inverse gives the cofaces and top_faces. Holds only the tops and n, no
-    reference to its mosaic, so a mosaic is freed by reference counting.
+    row[i] * n**(k-i), which orders keys as the rows; one stable argsort of
+    the keys of every (k+1)-subset of every top gives the cells, their
+    cofaces and top_faces. Holds only the tops and n, no reference to its
+    mosaic, so a mosaic is freed by reference counting.
     """
 
     def __init__(self, tops: np.ndarray, n: int):
@@ -174,14 +174,18 @@ class FaceLattice(Mapping):
             subs = np.array(list(combinations(range(self.d + 1), k + 1)))
             place = np.int64(n) ** np.arange(k, -1, -1)
             # subset j of top t sits at j * len(tops) + t
-            keys, inv = np.unique((tops[:, subs] @ place).T.ravel(),
-                                  return_inverse=True)
-            order = np.argsort(inv, kind="stable")
-            indptr = np.searchsorted(inv[order], np.arange(len(keys) + 1))
+            flat = (tops[:, subs] @ place).T.ravel()
+            # stable, so each cell's cofaces keep increasing top order
+            order = np.argsort(flat, kind="stable")
+            new = np.r_[True, flat[order[1:]] != flat[order[:-1]]]
+            keys = flat[order[new]]
+            inv = np.empty(len(order), dtype=np.int32)
+            inv[order] = np.cumsum(new) - 1
+            indptr = np.flatnonzero(np.r_[new, True])
             self._levels[k] = _Level(
                 (keys[:, None] // place % n).astype(np.int32), keys,
                 (indptr, (order % len(tops)).astype(np.int32)),
-                inv.reshape(len(subs), len(tops)).T.astype(np.int32))
+                inv.reshape(len(subs), len(tops)).T)
         return self._levels[k]
 
 
@@ -467,25 +471,40 @@ def circumradius_stats(m: Mosaic):
 
 # -- clipped Voronoi volumes (partition code path) --------------------------
 
-def _voronoi_polygon(m: Mosaic, site: int, far: float) -> np.ndarray:
-    """2D Voronoi cell of a site as a polygon, rays extended to distance far."""
-    dual = voronoi_dual(m, 0, site)
-    pts = [dual.vertices]
-    if not dual.bounded:
-        base = m.sites[site]
-        for ray in dual.rays:
-            u = ray / np.linalg.norm(ray)
-            pts.append(dual.vertices + far * u)
-            pts.append(base[None, :] + far * u)
-    cloud = np.vstack(pts)
-    try:
-        hull = ConvexHull(cloud)
-        # ConvexHull lists 2D vertices in counterclockwise boundary order
-        return cloud[hull.vertices]
-    except QhullError:
-        center = m.sites[site]
-        ang = np.arctan2(cloud[:, 1] - center[1], cloud[:, 0] - center[0])
-        return cloud[np.argsort(ang)]
+def _voronoi_polygons(m: Mosaic, sites: np.ndarray, far: float):
+    """2D Voronoi cells of the given sites as CSR polygons (vertices, indptr).
+
+    A cell's vertices are the circumcenters of its cofaces. A hull site
+    adds one point at distance far along each of its two rays, which start
+    at the circumcenter of the top on a hull edge and leave along that
+    edge's outward normal. A site lies inside its convex cell, so one sort
+    by (site, angle about the site) orders every polygon.
+    """
+    indptr, tops = m.cells.cofaces(0)
+    count = np.diff(indptr)[sites]
+    owner = np.repeat(np.arange(len(sites)), count)
+    first = np.repeat(indptr[sites] - (np.cumsum(count) - count), count)
+    points = m.top_circumcenters[tops[first + np.arange(len(owner))]]
+    hull = np.nonzero(m.boundary_mask(1))[0]
+    eptr, etops = m.cells.cofaces(1)
+    top = etops[eptr[hull]]
+    edge = m.cells[1][hull]
+    a, b = m.sites[edge[:, 0]], m.sites[edge[:, 1]]
+    third = m.sites[m.cells[2][top]].sum(axis=1) - a - b
+    # (x, y) -> (y, -x), then turned away from the top's third vertex
+    normal = (b - a) @ np.array([[0.0, -1.0], [1.0, 0.0]])
+    inward = np.einsum("ij,ij->i", normal, third - a)
+    normal *= (-np.sign(inward) / np.linalg.norm(normal, axis=1))[:, None]
+    slot = np.full(len(m.sites), -1)
+    slot[sites] = np.arange(len(sites))
+    ray_owner = slot[edge].ravel()
+    ray_end = np.repeat(m.top_circumcenters[top] + far * normal, 2, axis=0)
+    owner = np.concatenate([owner, ray_owner[ray_owner >= 0]])
+    points = np.concatenate([points, ray_end[ray_owner >= 0]])
+    rel = points - m.sites[sites][owner]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(sites)))])
+    return points[order], indptr
 
 
 def _clipped_cell_volume(m: Mosaic, site: int, window: Window) -> float:
@@ -528,12 +547,14 @@ def _clipped_cell_volume(m: Mosaic, site: int, window: Window) -> float:
 def clipped_voronoi_volumes(m: Mosaic, window: Window) -> np.ndarray:
     """Per-site volume of (Voronoi cell intersect window).
 
-    For a window strictly inside the site hull these volumes partition the
-    window, so their sum equals its volume. A bounded cell whose vertices
-    all lie in the window is whole, and its volume comes from the
-    dual-volume routine; only the cells crossing the window boundary are
-    clipped. Ball windows are clipped exactly in d = 2, box windows in any
-    d through halfspace intersections.
+    The Voronoi cells tile space, so these volumes partition the window and
+    their sum equals its volume. A bounded cell whose vertices all lie in
+    the window is whole, and its volume comes from the dual-volume routine;
+    only the cells that may cross the window boundary are clipped. A ball
+    window in d = 2 clips them exactly and all at once: their polygons go
+    as one CSR batch to polygon_disk_areas, each unbounded cell cut off by
+    a point far beyond the window on each of its rays. Box windows are
+    clipped in any d through halfspace intersections, one cell at a time.
     """
     if m.d != 2 and window.kind != "box":
         raise ValueError("ball windows are only clipped exactly in d = 2")
@@ -550,9 +571,8 @@ def clipped_voronoi_volumes(m: Mosaic, window: Window) -> np.ndarray:
     if window.kind == "ball":
         span = float(np.max(np.linalg.norm(rel, axis=1)))
         far = 4.0 * (span + window.extent + float(m.top_circumradii.max()))
-        for site in clip:
-            poly = _voronoi_polygon(m, int(site), far)
-            out[site] = polygon_disk_area(poly, window.center, window.extent)
+        out[clip] = polygon_disk_areas(*_voronoi_polygons(m, clip, far),
+                                       window.center, window.extent)
         return out
     for site in clip:
         out[site] = _clipped_cell_volume(m, int(site), window)

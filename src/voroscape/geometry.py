@@ -272,82 +272,70 @@ def polygon_area(poly) -> float:
     return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 
 
-def polygon_disk_area(poly, center, radius) -> float:
-    """Exact area of the intersection of a convex polygon with a disk.
+def _cross(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
-    Walks the polygon boundary once in counterclockwise order; chord pieces
-    inside the disk contribute triangle terms and the gap between each exit
-    point and the following entry point contributes a circular-sector term
-    (Green's theorem around the boundary of the intersection).
+
+def _angle(u, v):
+    # signed angle from u to v in (-pi, pi]
+    return np.arctan2(_cross(u, v), np.einsum("ij,ij->i", u, v))
+
+
+def polygon_disk_areas(vertices, indptr, center, radius) -> np.ndarray:
+    """Exact areas of the intersections of convex polygons with one disk.
+
+    The polygons come in CSR form: polygon j is vertices[indptr[j]:indptr[j+1]]
+    in boundary order, either orientation. Each directed edge a -> b adds on
+    its own the signed area of the triangle (center, a, b) inside the disk:
+    a sector up to the point where the edge enters the disk, the triangle
+    on the chord, and a sector after its exit (Green's theorem around the
+    boundary of the intersection). The terms are summed per polygon, signed
+    by the shoelace orientation and clamped at 0. A polygon whose edges
+    never cut the disk gets exactly 0, or pi r^2 when it winds around the
+    center; one with fewer than 3 vertices gets 0.
     """
-    poly = np.asarray(poly, dtype=float)
-    c = np.asarray(center, dtype=float)
-    r = float(radius)
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    signed = (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0
-    if signed < 0.0:
-        poly = poly[::-1]
-    q = poly - c
+    q = np.asarray(vertices, dtype=float).reshape(-1, 2) - np.asarray(center, dtype=float)
+    indptr = np.asarray(indptr, dtype=np.intp)
+    r2 = float(radius) ** 2
+    counts = np.diff(indptr)
+    # each vertex's successor along its polygon's boundary
+    nxt = np.arange(1, len(q) + 1)
+    nxt[indptr[1:][counts > 0] - 1] = indptr[:-1][counts > 0]
+    a, b = q, q[nxt]
+    e = b - a
+    aa = np.einsum("ij,ij->i", e, e)
+    bb = 2.0 * np.einsum("ij,ij->i", a, e)
+    disc = bb * bb - 4.0 * aa * (np.einsum("ij,ij->i", a, a) - r2)
+    # parameter interval [t0, t1] of a + t e inside the disk, if any
+    secant = (aa > 0.0) & (disc > 0.0)
+    sq = np.sqrt(np.where(secant, disc, 0.0))
+    two_aa = np.where(secant, 2.0 * aa, 1.0)
+    t0 = np.maximum((-bb - sq) / two_aa, 0.0)
+    t1 = np.minimum((-bb + sq) / two_aa, 1.0)
+    piece = secant & (t0 < t1)
+    p0 = a + t0[:, None] * e
+    p1 = a + t1[:, None] * e
+    theta = np.where(piece, np.where(t0 > 0.0, _angle(a, p0), 0.0)
+                     + np.where(t1 < 1.0, _angle(p1, b), 0.0), _angle(a, b))
+    terms = 0.5 * (r2 * theta + np.where(piece, _cross(p0, p1), 0.0))
 
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
+    def per_polygon(x):
+        # each sum runs over exactly its own polygon's terms, so a polygon's
+        # area does not depend on the rest of the batch
+        out = np.zeros(len(counts))
+        out[counts > 0] = np.add.reduceat(x, indptr[:-1][counts > 0])
+        return out
 
-    def seg_clip(a, b):
-        # parameter interval [t0, t1] of a + t(b - a) inside the disk
-        d = b - a
-        aa = d @ d
-        if aa == 0.0:
-            return None
-        bb = 2.0 * (a @ d)
-        cc = a @ a - r * r
-        disc = bb * bb - 4.0 * aa * cc
-        if disc <= 0.0:
-            return None
-        sq = np.sqrt(disc)
-        t0 = max((-bb - sq) / (2.0 * aa), 0.0)
-        t1 = min((-bb + sq) / (2.0 * aa), 1.0)
-        if t0 >= t1:
-            return None
-        return t0, t1
+    total = per_polygon(terms)
+    area = np.where(per_polygon(_cross(a, b)) < 0.0, -total, total)
+    # without a chord piece the terms add up to pi r^2 times the winding number
+    whole = np.where(np.abs(total) > 0.5 * np.pi * r2, np.pi * r2, 0.0)
+    out = np.where(per_polygon(piece) > 0.0, np.maximum(area, 0.0), whole)
+    out[counts < 3] = 0.0
+    return out
 
-    def sector(p_from, p_to):
-        dth = np.arctan2(p_to[1], p_to[0]) - np.arctan2(p_from[1], p_from[0])
-        if dth < 0.0:
-            dth += 2.0 * np.pi
-        return 0.5 * r * r * dth
 
-    area = 0.0
-    pending_exit = None   # boundary point where P left the disk, arc not yet closed
-    first_entry = None
-    any_piece = False
-    n = len(poly)
-    for i in range(n):
-        a, b = q[i], q[(i + 1) % n]
-        tt = seg_clip(a, b)
-        if tt is None:
-            continue
-        t0, t1 = tt
-        p0 = a + t0 * (b - a)
-        p1 = a + t1 * (b - a)
-        any_piece = True
-        if t0 > 0.0:
-            # the boundary re-enters the disk within this edge
-            if pending_exit is not None:
-                area += sector(pending_exit, p0)
-                pending_exit = None
-            elif first_entry is None:
-                first_entry = p0
-        area += 0.5 * cross(p0, p1)
-        if t1 < 1.0:
-            pending_exit = p1
-    if pending_exit is not None and first_entry is not None:
-        area += sector(pending_exit, first_entry)
-    if not any_piece:
-        # either disjoint, or the disk sits entirely inside the polygon
-        sides = [cross(q[(i + 1) % n] - q[i], -q[i]) for i in range(n)]
-        if all(s >= 0 for s in sides):
-            return np.pi * r * r
-        return 0.0
-    return max(area, 0.0)
+def polygon_disk_area(poly, center, radius) -> float:
+    """Exact area of the intersection of one convex polygon with a disk."""
+    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
+    return float(polygon_disk_areas(poly, [0, len(poly)], center, radius)[0])

@@ -5,10 +5,11 @@ the product of their intrinsic volumes; summed over the p-cells contained in
 a ball of radius R it approaches nu_d C(d,p) R^d, with the discrepancy
 carried by cells whose pivot ball reaches the boundary. One vectorized sum
 serves every (d, p): dual volumes come from Mosaic.dual_volumes and the
-pivot is the circumcenter of the p-cell; only the unbounded duals of hull
-cells are measured one by one. The p = 0 and p = d cases degenerate to the
-Voronoi and Delaunay partitions of the ball, which are exposed separately
-as exact clipped sums.
+pivot is the circumcenter of the p-cell. A hull cell's dual is unbounded,
+so its mixed volume and reach are infinite and it counts as a boundary
+pair. The p = 0 and p = d cases degenerate to the Voronoi and Delaunay
+partitions of the ball, which are exposed separately as exact clipped sums,
+each one batched polygon-disk area over the cells crossing the circle.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .delaunay import DualCell, Mosaic, clipped_voronoi_volumes, voronoi_dual
 from .errors import UnboundedCellError
-from .geometry import (PolytopeCell, affine_basis, polygon_disk_area,
-                       polytope_volume, simplex_volumes)
+from .geometry import polygon_disk_areas, simplex_volumes
 from .pointproc import Window, unit_ball_volume
 
 
@@ -32,8 +32,9 @@ class MixedCell:
 
     boundary is True when the ball of radius R0 around the pivot z0 is not
     contained in the open window ball, which is exactly when the pair's tile
-    can leak measure across the window boundary. R0 is infinite for the
-    unbounded duals of hull cells.
+    can leak measure across the window boundary. The unbounded dual of a
+    hull cell makes mixed_volume and R0 infinite, so such a pair is always
+    a boundary pair.
     """
 
     owner_dim: int
@@ -75,31 +76,17 @@ def tile_measure(c: MixedCell, d: int, p: int) -> float:
     return c.mixed_volume / comb(d, p)
 
 
-def _unbounded_dual_volume(dual: DualCell, clip_reach: float) -> float:
-    """Volume of an unbounded dual cut off along its rays at clip_reach, a
-    reporting-only approximation."""
-    verts = dual.vertices
-    rays = dual.rays / np.linalg.norm(dual.rays, axis=1)[:, None]
-    cloud = np.vstack([verts] + [verts + clip_reach * r for r in rays])
-    return polytope_volume(PolytopeCell(cloud, affine_basis(cloud), bounded=True))
-
-
-def _pairs(m: Mosaic, p: int, idx: np.ndarray, clip_reach: float):
-    """Mixed volumes, pivots z0 and reach radii R0 of the p-cells idx."""
-    dual = m.dual_volumes(p)[idx]
-    for j in np.nonzero(np.isinf(dual))[0]:
-        dual[j] = _unbounded_dual_volume(voronoi_dual(m, p, int(idx[j])), clip_reach)
-    mixed = simplex_volumes(m.sites[m.cells[p][idx]]) * dual
+def _pairs(m: Mosaic, p: int, idx: np.ndarray):
+    """Mixed volumes, pivots z0 and reach radii R0 of the p-cells idx; the
+    mixed volume and R0 of a hull cell are inf."""
+    mixed = simplex_volumes(m.sites[m.cells[p][idx]]) * m.dual_volumes(p)[idx]
     return mixed, m.circumcenters(p)[idx], m.reach(p)[idx]
 
 
-def mixed_cell(m: Mosaic, p: int, idx: int, R: float,
-               center=None, clip_reach: float | None = None) -> MixedCell:
+def mixed_cell(m: Mosaic, p: int, idx: int, R: float, center=None) -> MixedCell:
     """MixedCell of one p-cell against the window ball B(center, R)."""
     center = np.zeros(m.d) if center is None else np.asarray(center, dtype=float)
-    if clip_reach is None:
-        clip_reach = 4.0 * (R + float(m.top_circumradii.max()))
-    mixed, z0, R0 = _pairs(m, p, np.array([idx]), clip_reach)
+    mixed, z0, R0 = _pairs(m, p, np.array([idx]))
     boundary = bool(np.linalg.norm(z0[0] - center) + R0[0] >= R)
     return MixedCell(p, idx, voronoi_dual(m, p, idx), float(mixed[0]), z0[0],
                      float(R0[0]), boundary)
@@ -111,17 +98,17 @@ def mixed_volume_sum(m: Mosaic, p: int, R: float, center=None,
 
     A cell is contained when all its vertices are; pairs whose pivot ball
     ball(z0, R0) is not inside the open window go to sum_boundary, the rest
-    to sum_interior. The prediction nu_d C(d,p) R^d is exact only in the
-    R -> infinity limit, so the interior ratio approaches 1 from below as
-    the intensity grows.
+    to sum_interior. A hull cell in the ball has an unbounded dual, so
+    sum_boundary is inf exactly when one lies there. The prediction
+    nu_d C(d,p) R^d is exact only in the R -> infinity limit, so the
+    interior ratio approaches 1 from below as the intensity grows.
     """
     d = m.d
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     predicted = unit_ball_volume(d) * comb(d, p) * R ** d
     dist = np.linalg.norm(m.sites - center, axis=1)
     idx = np.nonzero(np.all(dist[m.cells[p]] <= R, axis=1))[0]
-    clip_reach = 4.0 * (R + float(m.top_circumradii.max()))
-    mixed, z0, R0 = _pairs(m, p, idx, clip_reach)
+    mixed, z0, R0 = _pairs(m, p, idx)
     bnd = np.linalg.norm(z0 - center, axis=1) + R0 >= R
     si, sb = float(mixed[~bnd].sum()), float(mixed[bnd].sum())
     return MixedSumReport(d, p, R, si, sb, predicted, si / predicted, len(idx),
@@ -134,10 +121,10 @@ def partition_sum(m: Mosaic, p: int, R: float, center=None,
 
     p = 0: Voronoi cells clipped to B(R) tile the ball, so the sum of their
     clipped volumes is nu_d R^d exactly. p = d: the Delaunay cells clipped
-    to B(R) do the same. Cells inside the ball count whole and only cells
-    crossing the circle are clipped, making the ratio a correctness check on
-    that geometry rather than a statistical estimate; d = 2 only, where the
-    clipping is exact.
+    to B(R) do the same. Cells inside the ball count whole; the cells that
+    may cross the circle go as one CSR batch to polygon_disk_areas, making
+    the ratio a correctness check on that geometry rather than a
+    statistical estimate; d = 2 only, where the clipping is exact.
     """
     d = m.d
     if p not in (0, d):
@@ -158,8 +145,8 @@ def partition_sum(m: Mosaic, p: int, R: float, center=None,
         reach = (np.linalg.norm(m.top_circumcenters - center, axis=1)
                  < R + m.top_circumradii)
         whole = simplex_volumes(verts[full])
-        cut = np.array([polygon_disk_area(verts[t], center, R)
-                        for t in np.nonzero(reach & ~full)[0]])
+        tri = verts[reach & ~full].reshape(-1, 2)
+        cut = polygon_disk_areas(tri, np.arange(0, len(tri) + 1, 3), center, R)
         total = float(whole.sum() + cut.sum())
         n = len(whole) + int(np.sum(cut > 0.0))
     return MixedSumReport(d, p, R, total, 0.0, predicted, total / predicted, n, 0, seed)

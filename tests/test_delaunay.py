@@ -344,6 +344,18 @@ def test_voronoi_partition_ball_2d():
     w = Window("ball", np.full(2, 0.5), 0.3)
     vols = clipped_voronoi_volumes(m, w)
     assert abs(vols.sum() - window_volume(w)) < 1e-9 * window_volume(w)
+    # windows that leave the site hull clip unbounded cells, so the points
+    # placed along their rays decide the result
+    for center in ((0.5, -0.1), (1.05, 1.05)):
+        w = Window("ball", np.array(center), 0.3)
+        vols = clipped_voronoi_volumes(m, w)
+        assert np.count_nonzero(vols[m.boundary_mask(0)]) >= 2
+        assert abs(vols.sum() - window_volume(w)) < 1e-9 * window_volume(w)
+    # every cell of three sites is unbounded
+    w = Window("ball", np.array([1.0, 0.7]), 30.0)
+    vols = clipped_voronoi_volumes(build_mosaic(TRIANGLE), w)
+    assert vols[0] == pytest.approx(vols[1], rel=1e-12)
+    assert abs(vols.sum() - window_volume(w)) < 1e-9 * window_volume(w)
 
 
 def test_voronoi_partition_box_3d():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from voroscape.errors import DegenerateInputError, UnboundedCellError
 from voroscape.geometry import (Frame, PolytopeCell, Simplex, affine_basis,
                                 circumsphere, frame_projection_volume,
                                 orthonormalize, polygon_area,
-                                polygon_disk_area, polytope_volume,
-                                simplex_volume)
+                                polygon_disk_area, polygon_disk_areas,
+                                polytope_volume, simplex_volume)
 from voroscape.moments import sample_stiefel
 
 
@@ -239,6 +240,65 @@ def test_polygon_disk_area_orientation_free():
     a1 = polygon_disk_area(sq, np.zeros(2), 1.0)
     a2 = polygon_disk_area(sq[::-1], np.zeros(2), 1.0)
     assert a1 == pytest.approx(a2, rel=1e-14)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        pts = rng.normal(size=(8, 2))
+        poly = pts[ConvexHull(pts).vertices]
+        a1 = polygon_disk_area(poly, np.zeros(2), 0.8)
+        a2 = polygon_disk_area(poly[::-1], np.zeros(2), 0.8)
+        assert a1 == pytest.approx(a2, rel=1e-14)
+
+
+def one_disk_area(poly, center=(0.0, 0.0), radius=1.0):
+    poly = np.asarray(poly, dtype=float)
+    return polygon_disk_areas(poly, [0, len(poly)], np.asarray(center), radius)[0]
+
+
+def test_polygon_disk_areas_disjoint_and_containing_are_exact():
+    # the sectors of these polygons add up to 0 and pi r^2 only up to
+    # round-off; without a chord piece the result is exact
+    t = np.linspace(0.0, 2.0 * np.pi, 8)[:-1]
+    hept = 7.0 * np.column_stack([np.cos(t), np.sin(t)])
+    center = (1.1, -0.4)
+    assert one_disk_area(hept + [21.0, 0.3], center, 1.3) == 0.0
+    assert one_disk_area(hept, center, 1.3) == np.pi * 1.3 ** 2
+    assert one_disk_area(hept[::-1], center, 1.3) == np.pi * 1.3 ** 2
+
+
+def test_polygon_disk_areas_tangent_edges():
+    sq = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
+    # every edge touches the circle: the square contains the disk
+    assert one_disk_area(sq) == np.pi
+    # touching from outside: no area
+    assert one_disk_area(sq + [2.0, 0.0]) == 0.0
+    # two tangent edges and one chord through the center: a half disk
+    half = np.array([[0, -1], [2, -1], [2, 1], [0, 1]], dtype=float)
+    assert one_disk_area(half) == pytest.approx(np.pi / 2, rel=1e-14)
+
+
+def test_polygon_disk_areas_repeated_vertex():
+    tri = np.array([[-0.5, -0.5], [1.5, 0.0], [0.0, 1.2]])
+    ref = one_disk_area(tri)
+    for j in range(3):
+        assert one_disk_area(np.insert(tri, j, tri[j], axis=0)) == pytest.approx(
+            ref, rel=1e-14)
+
+
+def test_polygon_disk_areas_batch_equals_single_calls():
+    rng = np.random.default_rng(13)
+    polys = [np.zeros((0, 2)), rng.normal(size=(2, 2))]
+    for k in (3, 4, 5, 7, 8, 9, 12, 3, 16):
+        pts = rng.normal(size=(k + 4, 2)) * rng.uniform(0.2, 2.0) + rng.normal(size=2)
+        poly = pts[ConvexHull(pts).vertices]
+        polys.append(poly if rng.random() < 0.5 else poly[::-1])
+    polys.append(np.zeros((0, 2)))
+    center = np.array([0.2, -0.1])
+    indptr = np.concatenate([[0], np.cumsum([len(p) for p in polys])])
+    batch = polygon_disk_areas(np.concatenate(polys), indptr, center, 1.1)
+    single = [polygon_disk_area(p, center, 1.1) for p in polys]
+    assert batch.tolist() == single
+    assert batch[0] == batch[1] == batch[-1] == 0.0
+    assert np.all((0.0 < batch[2:-1]) & (batch[2:-1] <= np.pi * 1.1 ** 2))
 
 
 def test_polygon_disk_area_montecarlo_crosscheck():

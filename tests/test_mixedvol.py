@@ -110,6 +110,20 @@ def test_infinite_tile():
         tile_measure(c, 2, 1)
 
 
+def test_hull_pairs_are_infinite_boundary_pairs():
+    # a ball reaching past the site hull holds hull p-cells (p < d), whose
+    # unbounded duals give their pairs an infinite mixed volume and reach
+    m, _ = ball_mosaic(2, 500, 0.5, 11)
+    site = int(np.nonzero(m.boundary_mask(0))[0][0])
+    c = mixed_cell(m, 0, site, R=0.6)
+    assert c.boundary and np.isinf(c.mixed_volume) and np.isinf(c.R0)
+    for p in (0, 1):
+        outside = mixed_volume_sum(m, p, 0.6)
+        assert np.isinf(outside.sum_boundary) and np.isfinite(outside.sum_interior)
+        assert np.isfinite(mixed_volume_sum(m, p, 0.3).sum_boundary)
+    assert np.isfinite(mixed_volume_sum(m, 2, 0.6).sum_boundary)
+
+
 def test_mixed_complex_scaling_identity():
     # Vol(0.5 gamma x 0.5 dual) = mixed / 2^d, exact in floating point
     m, _ = ball_mosaic(2, 500, 0.5, 1)
