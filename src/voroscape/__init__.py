@@ -29,7 +29,7 @@ from .scape import (Probe, Scape, ScapeEntry, WeightedSite, distortion,
                     segment_probe, voronoi_path, voronoi_scape_flat,
                     write_scape_csv)
 from .mixedvol import (MixedCell, MixedSumReport, RegularityReport,
-                       mixed_cell, mixed_volume_sum, partition_sum,
+                       ball_sum, mixed_cell, mixed_volume_sum, partition_sum,
                        regularity_report, tile_measure)
 from .experiments import (ExperimentResult, ExperimentSpec, default_margin,
                           mixedvol_spec, moments_spec, path_spec,

@@ -189,22 +189,27 @@ class FaceLattice(Mapping):
         return self._levels[k]
 
 
+class _SiteHull(NamedTuple):
+    facets: np.ndarray      # (f, d) sorted site indices per hull facet
+    normals: np.ndarray     # (f, d) outward unit normals
+    offsets: np.ndarray     # (f,) normals @ x + offsets <= 0 inside
+
+
 class Mosaic:
     """Immutable Delaunay mosaic over a finite site set.
 
     cells is the FaceLattice: cells[k] is an (m_k, k+1) int array of sorted
     site indices in lexicographic row order, built on its first read, and
     cells.cofaces(k) maps each k-cell to the indices of the top cells
-    containing it. Top circumcenters and radii are computed on first read.
+    containing it. Top circumcenters and radii, and the site hull (a second
+    Qhull call, read only by contains and voronoi_dual), are computed on
+    first read.
     """
 
-    def __init__(self, sites, tops, hull_facets, hull_normals, hull_offsets):
+    def __init__(self, sites, tops):
         self.sites = sites
         self.d = sites.shape[1]
         self.cells = FaceLattice(tops, len(sites))
-        self.hull_facets = hull_facets
-        self.hull_normals = hull_normals
-        self.hull_offsets = hull_offsets
         self._boundary_masks = {}
         self._facets = {}
         self._circumcenters = {}
@@ -323,6 +328,35 @@ class Mosaic:
             self._dual_volumes[k] = vol
         return self._dual_volumes[k]
 
+    # -- site hull, computed on its first read -----------------------------
+
+    @cached_property
+    def _site_hull(self) -> _SiteHull:
+        pts = self.sites
+        if self.d == 1:
+            # Qhull takes no 1-D input; the hull of a line is its two end sites
+            ends = np.array([pts.argmin(), pts.argmax()], dtype=np.int32)
+            return _SiteHull(ends[:, None], np.array([[-1.0], [1.0]]),
+                             np.array([pts[ends[0], 0], -pts[ends[1], 0]]))
+        hull = ConvexHull(pts)
+        return _SiteHull(np.sort(hull.simplices, axis=1).astype(np.int32),
+                         hull.equations[:, :self.d], hull.equations[:, self.d])
+
+    @property
+    def hull_facets(self) -> np.ndarray:
+        """(f, d) sorted site indices of the facets of the site hull."""
+        return self._site_hull.facets
+
+    @property
+    def hull_normals(self) -> np.ndarray:
+        """Outward unit normals of the site hull facets."""
+        return self._site_hull.normals
+
+    @property
+    def hull_offsets(self) -> np.ndarray:
+        """Offsets b of the facet planes normal . x + b = 0."""
+        return self._site_hull.offsets
+
     def contains(self, x, tol=1e-12) -> bool:
         """True when x lies inside the convex hull of the sites."""
         x = np.asarray(x, dtype=float)
@@ -332,9 +366,9 @@ class Mosaic:
 def build_mosaic(points, d=None) -> Mosaic:
     """Delaunay mosaic of a finite point set in general position.
 
-    Lifts to the paraboloid, takes lower hull facets as top cells, and
-    builds the site hull; every lower face dimension, with its coface
-    incidences, is enumerated on its first read. Degenerate inputs (all on
+    Lifts to the paraboloid and takes lower hull facets as top cells; the
+    site hull and every lower face dimension, with its coface incidences,
+    are computed on their first read. Degenerate inputs (all on
     a sphere, affinely flat, too few points) raise DegenerateInputError;
     more than 55,108 sites in d = 4 (n**d > 2**63, beyond the packed face
     keys) raise ValueError before any hull is computed.
@@ -360,20 +394,7 @@ def build_mosaic(points, d=None) -> Mosaic:
     unit = pts - pts.mean(axis=0)
     unit /= np.abs(unit).max() or 1.0
     lifted = np.column_stack([unit, np.einsum("ij,ij->i", unit, unit)])
-    tops = lower_hull_simplices(lifted).astype(np.int32)
-
-    if d == 1:
-        # Qhull takes no 1-D input; the hull of a line is its two end sites
-        ends = np.array([pts.argmin(), pts.argmax()], dtype=np.int32)
-        facets, normals = ends[:, None], np.array([[-1.0], [1.0]])
-        offsets = np.array([pts[ends[0], 0], -pts[ends[1], 0]])
-    else:
-        hull = ConvexHull(pts)
-        facets = np.sort(hull.simplices, axis=1).astype(np.int32)
-        normals = hull.equations[:, :d]
-        offsets = hull.equations[:, d]
-
-    return Mosaic(pts, tops, facets, normals, offsets)
+    return Mosaic(pts, lower_hull_simplices(lifted).astype(np.int32))
 
 
 def voronoi_dual(m: Mosaic, k: int, idx: int) -> DualCell:

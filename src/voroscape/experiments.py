@@ -15,13 +15,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
+from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
 from .delaunay import build_mosaic
 from .errors import (ConsistencyError, CoverageError, DegenerateInputError,
                      UnboundedCellError)
-from .mixedvol import mixed_volume_sum, partition_sum
+from .mixedvol import ball_sum
 from .moments import (MomentQuery, distortion_constant,
                       distortion_exact_string, moment_closed_form,
                       moment_monte_carlo, sample_stiefel)
@@ -143,17 +145,18 @@ def _aggregate(spec, values, predicted, metadata, elapsed):
     metadata = dict(metadata)
     metadata.setdefault("trial_seeds", [[spec.seed, t] for t in range(spec.trials)])
     metadata["elapsed_s"] = round(elapsed, 3)
-    metadata["versions"] = _versions()
+    metadata["versions"] = dict(_versions())
     metadata["z_gate"] = Z_GATE
     return ExperimentResult(spec, values, mean, stderr, predicted, z, metadata)
 
 
+@cache
 def _versions() -> dict:
+    """Installed versions, looked up once per process; callers copy it."""
     import scipy
     try:
-        from importlib.metadata import version
         own = version("voroscape")
-    except Exception:
+    except PackageNotFoundError:
         own = "unknown"
     return {"voroscape": own, "numpy": np.__version__, "scipy": scipy.__version__}
 
@@ -193,13 +196,13 @@ def _distortion_trial(spec: ExperimentSpec, trial: int) -> float:
 
 
 def _mixedvol_trial(spec: ExperimentSpec, trial: int) -> dict:
+    """One ball sum over B(window center, R). ball_sum triangulates only the
+    sites near the ball and certifies that every cell it reads is a cell of
+    the whole sample's mosaic, so the values equal those of the whole
+    mosaic bitwise."""
     rng = np.random.default_rng([spec.seed, trial])
     points = sample(spec.process, spec.window, rng)
-    mosaic = build_mosaic(points, spec.d)
-    if spec.p in (0, spec.d):
-        rep = partition_sum(mosaic, spec.p, spec.R, spec.window.center)
-    else:
-        rep = mixed_volume_sum(mosaic, spec.p, spec.R, spec.window.center)
+    rep = ball_sum(points, spec.p, spec.R, spec.window)
     return {"value": rep.ratio,
             "boundary_share": rep.sum_boundary / rep.predicted,
             "n_cells": rep.n_cells, "n_boundary": rep.n_boundary}
@@ -301,7 +304,7 @@ def run_moments_experiment(spec: ExperimentSpec) -> ExperimentResult:
     meta = {"margin": None, "samples": spec.samples,
             "trial_seeds": [[spec.seed, 0]],
             "elapsed_s": round(time.perf_counter() - t0, 3),
-            "versions": _versions(), "z_gate": Z_GATE}
+            "versions": dict(_versions()), "z_gate": Z_GATE}
     return ExperimentResult(spec, np.array([est.mean]), est.mean,
                             est.stderr, predicted, z, meta)
 

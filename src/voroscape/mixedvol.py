@@ -10,6 +10,11 @@ so its mixed volume and reach are infinite and it counts as a boundary
 pair. The p = 0 and p = d cases degenerate to the Voronoi and Delaunay
 partitions of the ball, which are exposed separately as exact clipped sums,
 each one batched polygon-disk area over the cells crossing the circle.
+
+A sum reads only the cells near the ball, so ball_sum, which a trial calls
+with its sampled sites, triangulates only the sites within a pad of the
+ball and certifies that every top the sum reads is a top of the whole
+sample's mosaic; the sum is then bitwise the one on the whole mosaic.
 """
 
 from __future__ import annotations
@@ -20,10 +25,13 @@ from math import comb
 
 import numpy as np
 
-from .delaunay import DualCell, Mosaic, clipped_voronoi_volumes, voronoi_dual
-from .errors import UnboundedCellError
+from .delaunay import (EMPTY_SPHERE_TOL, DualCell, Mosaic, build_mosaic,
+                       clipped_voronoi_volumes, voronoi_dual)
+from .errors import DegenerateInputError, UnboundedCellError
 from .geometry import polygon_disk_areas, simplex_volumes
-from .pointproc import Window, unit_ball_volume
+from .pointproc import Window, unit_ball_volume, window_volume
+
+PAD_SPACINGS = 6.0   # first pad of a local mosaic, in mean site spacings
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,19 @@ def _pairs(m: Mosaic, p: int, idx: np.ndarray):
     return mixed, m.circumcenters(p)[idx], m.reach(p)[idx]
 
 
+def _contained(m: Mosaic, p: int, R: float, center) -> np.ndarray:
+    """Mask over the p-cells with every vertex in the closed ball."""
+    dist = np.linalg.norm(m.sites - center, axis=1)
+    return np.all(dist[m.cells[p]] <= R, axis=1)
+
+
+def _reaching(m: Mosaic, R: float, center) -> np.ndarray:
+    """Mask over the tops whose circumdisk meets the open ball. A top lies
+    in its closed circumdisk, so any other top has no volume in the ball."""
+    return (np.linalg.norm(m.top_circumcenters - center, axis=1)
+            < R + m.top_circumradii)
+
+
 def mixed_cell(m: Mosaic, p: int, idx: int, R: float, center=None) -> MixedCell:
     """MixedCell of one p-cell against the window ball B(center, R)."""
     center = np.zeros(m.d) if center is None else np.asarray(center, dtype=float)
@@ -106,8 +127,7 @@ def mixed_volume_sum(m: Mosaic, p: int, R: float, center=None,
     d = m.d
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     predicted = unit_ball_volume(d) * comb(d, p) * R ** d
-    dist = np.linalg.norm(m.sites - center, axis=1)
-    idx = np.nonzero(np.all(dist[m.cells[p]] <= R, axis=1))[0]
+    idx = np.nonzero(_contained(m, p, R, center))[0]
     mixed, z0, R0 = _pairs(m, p, idx)
     bnd = np.linalg.norm(z0 - center, axis=1) + R0 >= R
     si, sb = float(mixed[~bnd].sum()), float(mixed[bnd].sum())
@@ -125,6 +145,11 @@ def partition_sum(m: Mosaic, p: int, R: float, center=None,
     may cross the circle go as one CSR batch to polygon_disk_areas, making
     the ratio a correctness check on that geometry rather than a
     statistical estimate; d = 2 only, where the clipping is exact.
+
+    Only positive pieces are summed, so the total depends only on the cells
+    that meet the open ball, not on how many empty ones the mosaic holds:
+    on a local mosaic certified by ball_sum it is bitwise the total on the
+    whole mosaic.
     """
     d = m.d
     if p not in (0, d):
@@ -135,21 +160,83 @@ def partition_sum(m: Mosaic, p: int, R: float, center=None,
     predicted = unit_ball_volume(d) * comb(d, p) * R ** d
     if p == 0:
         vols = clipped_voronoi_volumes(m, Window("ball", center, R))
-        total = float(vols.sum())
+        total = float(vols[vols > 0.0].sum())
         n = int(np.sum(vols > 0.0))
     else:
         verts = m.sites[m.cells[d]]
-        full = np.all(np.linalg.norm(verts - center, axis=2) <= R, axis=1)
-        # a triangle lies in its closed circumdisk, so one whose circumdisk
-        # misses the open disk has no area inside it
-        reach = (np.linalg.norm(m.top_circumcenters - center, axis=1)
-                 < R + m.top_circumradii)
+        full = _contained(m, d, R, center)
         whole = simplex_volumes(verts[full])
-        tri = verts[reach & ~full].reshape(-1, 2)
+        tri = verts[_reaching(m, R, center) & ~full].reshape(-1, 2)
         cut = polygon_disk_areas(tri, np.arange(0, len(tri) + 1, 3), center, R)
-        total = float(whole.sum() + cut.sum())
+        total = float(whole.sum() + cut[cut > 0.0].sum())
         n = len(whole) + int(np.sum(cut > 0.0))
     return MixedSumReport(d, p, R, total, 0.0, predicted, total / predicted, n, 0, seed)
+
+
+def _read_tops(m: Mosaic, p: int, R: float, center) -> np.ndarray | None:
+    """Mask over the tops whose circumcenters and radii the ball sum of
+    p-cells over B(center, R) reads: the stars of the cells it sums, which
+    for p = 0 are the sites with a positive clipped volume and for p = d
+    the tops whose circumdisk meets the open ball. None when the site hull
+    of m cuts the sum: a summed cell on the hull, or for p = d a ball that
+    is not inside the hull."""
+    if p == 0:
+        summed = clipped_voronoi_volumes(m, Window("ball", center, R)) > 0.0
+    elif p < m.d:
+        summed = _contained(m, p, R, center)
+    else:
+        summed = _reaching(m, R, center)
+    if p < m.d:
+        cut = np.any(m.boundary_mask(p)[summed])
+    else:
+        cut = np.any(m.hull_normals @ center + m.hull_offsets
+                     > -R * (1.0 + EMPTY_SPHERE_TOL))
+    if cut:
+        return None
+    indptr, tops = m.cells.cofaces(p)
+    read = np.zeros(m.n_cells(m.d), dtype=bool)
+    read[tops[np.repeat(summed, np.diff(indptr))]] = True
+    return read
+
+
+def ball_sum(points, p: int, R: float, window: Window) -> MixedSumReport:
+    """The ball sum of a sample over B(window.center, R): partition_sum for
+    p = 0 and p = d, mixed_volume_sum otherwise, on a local mosaic.
+
+    Only the sites strictly inside B(center, R + pad) are triangulated,
+    pad starting at PAD_SPACINGS mean spacings (window volume / n)^(1/d).
+    The local sum is returned when it is certified: every top it reads has
+    its circumdisk strictly inside that ball (relative slack
+    EMPTY_SPHERE_TOL) and the local site hull cuts none of it. Such a top
+    holds no site of the sample, so it is a top of the whole mosaic with
+    the same star; the kept sites keep their increasing order, so rows,
+    their lexicographic order and every per-cell float match the whole
+    mosaic's, and the sum is bitwise equal to the sum on the whole mosaic.
+    Otherwise pad doubles; once the ball holds every site, the whole sample
+    is triangulated with no certificate.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    center = window.center
+    sum_of = partition_sum if p in (0, d) else mixed_volume_sum
+    dist = np.linalg.norm(pts - center, axis=1)
+    pad = PAD_SPACINGS * (window_volume(window) / max(n, 1)) ** (1.0 / d)
+    while True:
+        keep = np.nonzero(dist < R + pad)[0]
+        if len(keep) == n:
+            return sum_of(build_mosaic(pts), p, R, center)
+        try:
+            m = build_mosaic(pts[keep])
+        except DegenerateInputError:
+            m = None   # too few or flat sites certify nothing
+        if m is not None:
+            rep = sum_of(m, p, R, center)
+            read = _read_tops(m, p, R, center)
+            if read is not None and np.all(
+                    np.linalg.norm(m.top_circumcenters[read] - center, axis=1)
+                    + m.top_circumradii[read] < (R + pad) * (1.0 - EMPTY_SPHERE_TOL)):
+                return rep
+        pad *= 2.0
 
 
 @dataclass(frozen=True)

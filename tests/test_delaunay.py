@@ -373,6 +373,28 @@ def test_contains():
     assert not m.contains(np.array([-1.0, -1.0]))
 
 
+def test_site_hull_built_on_first_read(monkeypatch):
+    # build_mosaic runs Qhull on the lifted sites only; the site hull waits
+    # for its first reader
+    dims = []
+    real = delaunay.ConvexHull
+
+    def counting(points, *args, **kwargs):
+        dims.append(np.shape(points)[1])
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(delaunay, "ConvexHull", counting)
+    m, _ = poisson_mosaic(2, 200, 14)
+    assert dims == [3]
+    assert m.contains(np.full(2, 0.5)) and not m.contains(np.full(2, 1.5))
+    assert dims == [3, 2]
+    assert len(voronoi_dual(m, 0, int(np.argmin(m.sites[:, 0]))).rays) == 2
+    assert dims == [3, 2]
+    line = build_mosaic(np.array([[0.0], [3.0], [1.0]]))
+    assert line.contains(np.array([2.0])) and not line.contains(np.array([-0.5]))
+    assert dims == [3, 2, 2]
+
+
 def test_export_schema_and_determinism(tmp_path):
     m, pts = poisson_mosaic(2, 60, 13)
     doc = json.loads(export_mosaic_json(m))

@@ -125,6 +125,25 @@ def test_metadata_complete():
     json.dumps(doc)  # must be serializable as-is
 
 
+def test_versions_looked_up_once(monkeypatch):
+    calls = []
+    real = experiments.version
+
+    def counting(name):
+        calls.append(name)
+        return real(name)
+
+    monkeypatch.setattr(experiments, "version", counting)
+    experiments._versions.cache_clear()
+    a = run_experiment(moments_spec(2, 1, 1, 100))
+    b = run_experiment(path_spec(2, 300, 0.3, 2, seed=1))
+    assert calls == ["voroscape"]
+    # equal payloads, but no result shares its dict with another
+    assert a.metadata["versions"] == b.metadata["versions"]
+    assert a.metadata["versions"] is not b.metadata["versions"]
+    experiments._versions.cache_clear()
+
+
 def test_aggregate_stats():
     res = run_experiment(path_spec(2, 400, 0.3, 8, seed=2))
     v = res.values

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from voroscape import mixedvol
 from voroscape.delaunay import (PIVOT_TOL, build_mosaic,
                                 clipped_voronoi_volumes, pivot_point,
                                 voronoi_dual)
 from voroscape.errors import UnboundedCellError
 from voroscape.geometry import simplex_volume
-from voroscape.mixedvol import (MixedCell, mixed_cell, mixed_volume_sum,
-                                partition_sum, regularity_report,
-                                tile_measure)
+from voroscape.mixedvol import (MixedCell, ball_sum, mixed_cell,
+                                mixed_volume_sum, partition_sum,
+                                regularity_report, tile_measure)
 from voroscape.pointproc import (Window, lattice, poisson, sample,
                                  unit_ball_volume, unit_box_window)
 
@@ -243,6 +244,118 @@ def test_ratio_approaches_one():
     rep = mixed_volume_sum(m, 1, 0.3)
     assert 0.8 < rep.ratio < 1.02
     assert rep.n_boundary < rep.n_cells
+
+
+# ---------------- local mosaics ----------------
+
+def count_builds(monkeypatch):
+    """Site counts of the mosaics ball_sum builds, in build order."""
+    sizes = []
+
+    def counting(points, d=None):
+        sizes.append(len(points))
+        return build_mosaic(points, d)
+
+    monkeypatch.setattr(mixedvol, "build_mosaic", counting)
+    return sizes
+
+
+def assert_whole_mosaic_sum(pts, p, R, window, rep):
+    m = build_mosaic(pts)
+    whole = (partition_sum if p in (0, m.d) else mixed_volume_sum)(
+        m, p, R, window.center)
+    # bitwise, including an infinite sum_boundary
+    assert (rep.ratio, rep.sum_boundary, rep.n_cells, rep.n_boundary) == (
+        whole.ratio, whole.sum_boundary, whole.n_cells, whole.n_boundary)
+
+
+@pytest.mark.parametrize("rho, seed", [(40000, 0), (40000, 1), (3000, 2),
+                                       (3000, 3), (3000, 4)])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_ball_sum_equals_whole_mosaic_sum(monkeypatch, rho, seed, p):
+    w = Window("ball", np.zeros(2), 0.5)
+    pts = sample(poisson(rho), w, seed)
+    sizes = count_builds(monkeypatch)
+    rep = ball_sum(pts, p, 0.35, w)
+    # one local mosaic, certified on its first build
+    assert len(sizes) == 1 and sizes[0] < len(pts)
+    assert_whole_mosaic_sum(pts, p, 0.35, w, rep)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_ball_sum_empty_annulus_rebuilds(monkeypatch, p):
+    # no site between R and R + 0.1: the first local mosaic ends at the
+    # ball, so its hull cuts the sum and the pad must grow
+    R, w = 0.35, Window("ball", np.zeros(2), 0.5)
+    pts = sample(poisson(10000), w, 5)
+    r = np.linalg.norm(pts, axis=1)
+    pts = pts[(r <= R) | (r >= R + 0.1)]
+    sizes = count_builds(monkeypatch)
+    rep = ball_sum(pts, p, R, w)
+    assert len(sizes) > 1
+    assert_whole_mosaic_sum(pts, p, R, w, rep)
+
+
+def test_ball_sum_small_first_pad_retries(monkeypatch):
+    # a first pad of one spacing cuts stars near the ball's edge, which only
+    # the circumdisk test notices
+    monkeypatch.setattr(mixedvol, "PAD_SPACINGS", 1.0)
+    R, w = 0.35, Window("ball", np.zeros(2), 0.5)
+    pts = sample(poisson(10000), w, 8)
+    for p in (0, 1, 2):
+        sizes = count_builds(monkeypatch)
+        rep = ball_sum(pts, p, R, w)
+        assert len(sizes) > 1 and sizes[-1] < len(pts)
+        assert_whole_mosaic_sum(pts, p, R, w, rep)
+
+
+@pytest.mark.parametrize("arc", [2.0 * np.pi, 0.5 * np.pi], ids=["ring", "quarter"])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_ball_sum_local_hull_in_ball_falls_back(monkeypatch, arc, p):
+    # sites only inside B(R), plus a sparse ring near the edge of a large
+    # window: the first local mosaic is the inner sites alone. They end in
+    # a convex polygon, so the hull lies in the ball while every circumdisk
+    # stays well inside the padded ball, and only the hull test rejects the
+    # mosaic. A ring over a quarter arc leaves the whole mosaic's hull
+    # crossing the ball too.
+    R, w = 0.35, Window("ball", np.zeros(2), 2.0)
+    rng = np.random.default_rng(6)
+    turn = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+    edge = (0.3 - 1e-4 * rng.random(60))[:, None] * np.column_stack(
+        [np.cos(turn), np.sin(turn)])
+    inner = np.vstack([sample(poisson(2000), Window("ball", np.zeros(2), 0.28), rng),
+                       edge])
+    angle = np.linspace(0.0, arc, 12, endpoint=False)
+    pts = np.vstack([inner, 1.9 * np.column_stack([np.cos(angle), np.sin(angle)])])
+    sizes = count_builds(monkeypatch)
+    rep = ball_sum(pts, p, R, w)
+    assert sizes == [len(inner), len(pts)]
+    assert_whole_mosaic_sum(pts, p, R, w, rep)
+    if p == 1:
+        assert np.isinf(rep.sum_boundary) == (arc < np.pi)
+
+
+def test_ball_sum_too_few_local_sites_grow_the_pad(monkeypatch):
+    # two sites near the center, the rest near the window's edge: the first
+    # local site set cannot be triangulated, which certifies nothing
+    R, w = 0.1, Window("ball", np.zeros(2), 1.0)
+    outer = sample(poisson(2000), w, 9)
+    outer = outer[np.linalg.norm(outer, axis=1) > 0.9]
+    pts = np.vstack([[[0.01, 0.02], [-0.03, 0.01]], outer])
+    sizes = count_builds(monkeypatch)
+    rep = ball_sum(pts, 1, R, w)
+    assert sizes[0] == 2 and sizes[-1] == len(pts)
+    assert_whole_mosaic_sum(pts, 1, R, w, rep)
+
+
+def test_ball_sum_uses_whole_sample_when_pad_reaches_window(monkeypatch):
+    # the first pad already reaches past the window radius 0.4
+    R, w = 0.35, Window("ball", np.zeros(2), 0.4)
+    pts = sample(poisson(3000), w, 7)
+    sizes = count_builds(monkeypatch)
+    rep = ball_sum(pts, 1, R, w)
+    assert sizes == [len(pts)]
+    assert_whole_mosaic_sum(pts, 1, R, w, rep)
 
 
 # ---------------- regularity report ----------------
