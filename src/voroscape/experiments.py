@@ -56,7 +56,7 @@ def default_margin(process: ProcessSpec, d: int) -> float:
     return 4.0 * nearest_neighbor_scale(process, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentSpec:
     kind: str
     d: int
@@ -93,7 +93,7 @@ class ExperimentSpec:
         return default_margin(self.process, self.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentResult:
     spec: ExperimentSpec
     values: np.ndarray = field(compare=False)
@@ -182,16 +182,16 @@ def _distortion_trial(spec: ExperimentSpec, trial: int) -> float:
     points = sample(spec.process, spec.window, rng)
     shrink = spec.resolved_margin() + _probe_radius(spec)
     frame, center = place_probe_frame(rng, spec.d, spec.p, spec.window, shrink)
-    mosaic = build_mosaic(points, spec.d)
     if spec.kind == "path":
         u = frame.rows[0]
         half = spec.probe_size / 2.0
         probe = segment_probe(center - half * u, center + half * u)
-        scape = voronoi_path(mosaic, probe)
+        scape = voronoi_path(build_mosaic(points, spec.d), probe)
     else:
+        # the power diagram on the flat needs only the sites
         half = np.full(spec.p, spec.probe_size / 2.0)
         probe = flat_patch_probe(frame, center, "box", half)
-        scape = voronoi_scape_flat(mosaic, probe)
+        scape = voronoi_scape_flat(points, probe)
     return distortion(scape, probe)
 
 

@@ -19,7 +19,7 @@ def unit_ball_volume(d: int) -> float:
     return float(np.exp(d / 2.0 * np.log(np.pi) - gammaln(d / 2.0 + 1.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Window:
     """Sampling region: an axis-aligned box or a ball.
 
@@ -61,7 +61,7 @@ def window_volume(w: Window) -> float:
     return unit_ball_volume(w.d) * w.extent ** w.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessSpec:
     """What to sample: poisson(rho), lattice(spacing, jitter), or explicit points."""
 

@@ -1,11 +1,13 @@
 """Voronoi paths of polylines and Voronoi scapes of flat patches.
 
-A path walks a segment through the Voronoi tessellation and collects the
-Delaunay edge dual to every crossed Voronoi facet. A flat-patch scape goes
-through the power diagram instead: the Voronoi tessellation restricted to a
-p-flat is the power diagram of the projected sites with weights equal to
-minus the squared projection offsets, so the patch's scape is read off the
-weighted Delaunay triangulation built by the same lifting machinery.
+A path walks a segment through the Voronoi tessellation of a Delaunay
+mosaic and collects the Delaunay edge dual to every crossed Voronoi facet.
+A flat-patch scape reads only the sites: the Voronoi tessellation restricted
+to a p-flat is the power diagram of the projected sites with weights equal
+to minus the squared projection offsets (Aurenhammer 1987), so the patch's
+scape is read off the weighted Delaunay triangulation built by the same
+lifting machinery, with no ambient mosaic. A nearest-site witness at every
+power-diagram vertex checks that its p + 1 sites span a Delaunay p-cell.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .delaunay import Mosaic, lower_hull_simplices, nearest_site
 from .errors import ConsistencyError, CoverageError, DegenerateInputError
-from .geometry import Frame
+from .geometry import Frame, simplex_volume
 from .pointproc import unit_ball_volume
 
 CROSS_TOL = 1e-10       # crossing-parameter tolerance in the walk
@@ -129,20 +132,27 @@ class Scape:
         return Counter({e.sites: e.multiplicity for e in self.entries})
 
 
-def _make_scape(m: Mosaic, p: int, counts: Counter, perturbed: bool) -> Scape:
+def _make_scape(p: int, counts: Counter, volume, perturbed: bool) -> Scape:
+    """Scape of counted p-cells in sorted order; volume(key) is a cell's p-volume."""
     entries = []
     total = 0.0
     for key in sorted(counts):
         mult = counts[key]
+        vol = volume(key)
+        entries.append(ScapeEntry(key, mult, vol))
+        total += mult * vol
+    return Scape(p, tuple(entries), total, perturbed)
+
+
+def _mosaic_volume(m: Mosaic, p: int):
+    def volume(key):
         try:
             idx = m.cell_index(p, key)
         except KeyError as exc:
             raise ConsistencyError(
                 f"{len(key) - 1}-cell {key} is not a cell of the mosaic") from exc
-        vol = m.cell_volume(p, idx)
-        entries.append(ScapeEntry(key, mult, vol))
-        total += mult * vol
-    return Scape(p, tuple(entries), total, perturbed)
+        return m.cell_volume(p, idx)
+    return volume
 
 
 def _walk_segment(m: Mosaic, a, b, start_site: int, counts: Counter) -> int:
@@ -223,7 +233,7 @@ def voronoi_path(m: Mosaic, probe: Probe) -> Scape:
                 s = _walk_segment(m, a, verts[i + 1] + shift, s, counts)
             if _vertex_on_voronoi_face(m, verts[-1] + shift, s):
                 raise DegenerateInputError("polyline vertex on a Voronoi face")
-            return _make_scape(m, 1, counts, perturbed=attempt > 0)
+            return _make_scape(1, counts, _mosaic_volume(m, 1), attempt > 0)
         except DegenerateInputError:
             continue
     raise DegenerateInputError("probe keeps hitting degenerate Voronoi faces")
@@ -241,15 +251,21 @@ class WeightedSite:
             raise ValueError("weights are nonpositive by construction")
 
 
-def project_weights(m: Mosaic, frame: Frame, base) -> list:
+def _site_array(sites) -> np.ndarray:
+    """An (n, d) site array, read from .sites when the argument has one."""
+    return np.asarray(getattr(sites, "sites", sites), dtype=float)
+
+
+def project_weights(sites, frame: Frame, base) -> list:
     """Weighted sites of the power diagram induced on a flat.
 
+    sites is an (n, d) array or an object with .sites, such as a Mosaic.
     The defining identity, checked in tests: for x on the flat with flat
     coordinates y, the ambient squared distance |x - a|^2 equals
     |y - a'|^2 - a'' for every site a with projection a' and weight a''.
     """
     base = np.asarray(base, dtype=float)
-    rel = m.sites - base
+    rel = _site_array(sites) - base
     y = rel @ frame.rows.T
     off2 = np.einsum("ij,ij->i", rel, rel) - np.einsum("ij,ij->i", y, y)
     off2 = np.maximum(off2, 0.0)
@@ -266,24 +282,28 @@ def power_nearest(weighted: list, y) -> int:
     return int(np.argmin(power))
 
 
-def voronoi_scape_flat(m: Mosaic, probe: Probe) -> Scape:
+def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     """Voronoi scape of a bounded convex patch of an affine p-flat.
 
-    Builds the power diagram of the projected sites inside the flat with the
-    same paraboloid lifting used for the ambient mosaic (weights shift the
-    lift height). Every power-diagram vertex inside the patch is the spot
-    where the flat pierces a Voronoi (d-p)-cell, and the scape collects the
-    ambient Delaunay p-cell on the same p+1 sites, with multiplicity 1 and
-    its unprojected p-volume. A projected cell missing from the ambient
-    mosaic raises ConsistencyError, since their equality is the point of the
-    construction.
+    sites is an (n, d) array or an object with .sites, such as a Mosaic;
+    only the site coordinates are read. Builds the power diagram of the
+    projected sites inside the flat with the same paraboloid lifting as
+    build_mosaic (weights shift the lift height). Every power-diagram vertex
+    inside the patch is the spot where the flat pierces a Voronoi (d-p)-cell,
+    and the scape collects the Delaunay p-cell on the same p+1 sites, with
+    multiplicity 1 and its unprojected p-volume, simplex_volume of its
+    sites. A witness checks each such vertex: lifted back to ambient
+    coordinates, its p+1 nearest sites must be the cell's own and the next
+    site strictly farther, which is the definition of the dual Voronoi cell;
+    a failure raises ConsistencyError.
     """
     if probe.kind != "flat_patch":
         raise ValueError("voronoi_scape_flat expects a flat patch probe")
-    p, d = probe.frame.p, m.d
+    sites = _site_array(sites)
+    p, d = probe.frame.p, sites.shape[1]
     if not (1 <= p <= d - 1):
         raise ValueError("patch dimension must satisfy 1 <= p <= d-1")
-    rel = m.sites - probe.base
+    rel = sites - probe.base
     y = rel @ probe.frame.rows.T
     lift = np.einsum("ij,ij->i", rel, rel)   # |y|^2 - weight, the power lift
     perturbed = False
@@ -313,11 +333,25 @@ def voronoi_scape_flat(m: Mosaic, probe: Probe) -> Scape:
         inside = np.all(np.abs(centers) <= probe.extent, axis=1)
     else:
         inside = np.einsum("ij,ij->i", centers, centers) <= float(probe.extent) ** 2
+    rows = wtops[inside]
+    _check_witnesses(rel, centers[inside] @ probe.frame.rows, rows)
+    counts = Counter(tuple(int(i) for i in row) for row in rows)
+    return _make_scape(p, counts, lambda key: simplex_volume(sites[list(key)]),
+                       perturbed)
 
-    counts = Counter()
-    for row in wtops[inside]:
-        counts[tuple(int(i) for i in row)] += 1
-    return _make_scape(m, p, counts, perturbed)
+
+def _check_witnesses(rel, points, rows) -> None:
+    """Each point's len(row) nearest sites are its row's, the next strictly
+    farther; rel and points share coordinates centered on the patch base."""
+    k = rows.shape[1]
+    dist, near = cKDTree(rel).query(points, k=k + 1)
+    bad = np.any(np.sort(near[:, :k], axis=1) != rows, axis=1)
+    bad |= dist[:, k] <= dist[:, k - 1]
+    if np.any(bad):
+        row = tuple(int(i) for i in rows[np.argmax(bad)])
+        raise ConsistencyError(
+            f"{k - 1}-cell {row} is not a Delaunay cell of the sites: "
+            f"its power-diagram vertex has other nearest sites")
 
 
 def distortion(s: Scape, probe: Probe) -> float:

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from voroscape.experiments import (WORKERS_ENV, ExperimentSpec, default_margin,
                                    moments_spec, path_spec, run_constants,
                                    run_experiment, scape_spec, worker_count)
 from voroscape.pointproc import poisson, unit_box_window
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -311,3 +316,18 @@ def test_cli_determinism():
     da["metadata"].pop("elapsed_s")
     db["metadata"].pop("elapsed_s")
     assert da == db
+
+
+# ---------------- demos ----------------
+
+@pytest.mark.parametrize("demo", ["01_constant_table.py",
+                                  "02_projection_moments.py",
+                                  "03_segment_path_2d.py",
+                                  "04_plane_scape_3d.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voroscape.delaunay import build_mosaic, nearest_site
-from voroscape.errors import CoverageError, DegenerateInputError
+from voroscape import experiments, scape
+from voroscape.delaunay import build_mosaic, lower_hull_simplices, nearest_site
+from voroscape.errors import ConsistencyError, CoverageError, DegenerateInputError
 from voroscape.geometry import Frame
 from voroscape.moments import sample_stiefel
 from voroscape.pointproc import poisson, sample, unit_box_window
-from voroscape.scape import (Probe, distortion, flat_patch_probe,
+from voroscape.scape import (Probe, ScapeEntry, distortion, flat_patch_probe,
                              power_nearest, project_weights, segment_probe,
                              voronoi_path, voronoi_scape_flat,
                              write_scape_csv)
@@ -212,6 +215,146 @@ def test_rigid_motion_equivariance():
     v2 = sorted(e.volume for e in s2.entries for _ in range(e.multiplicity))
     assert len(v0) == len(v2)
     assert np.allclose(v0, v2, rtol=1e-9)
+
+
+# ---------------- witness scape (sites only) ----------------
+
+def mosaic_scape_reference(pts, probe):
+    """The flat scape as read from the ambient mosaic: the power-diagram
+    vertices in the patch, each looked up with cell_index and measured with
+    cell_volume."""
+    m = build_mosaic(pts)
+    p = probe.frame.p
+    rel = pts - probe.base
+    y = rel @ probe.frame.rows.T
+    lift = np.einsum("ij,ij->i", rel, rel)
+    tops = lower_hull_simplices(np.column_stack([y, lift]))
+    A = 2.0 * (y[tops[:, 1:]] - y[tops[:, :1]])
+    rhs = lift[tops[:, 1:]] - lift[tops[:, :1]]
+    centers = np.linalg.solve(A, rhs[..., None])[..., 0]
+    if probe.region == "box":
+        inside = np.all(np.abs(centers) <= probe.extent, axis=1)
+    else:
+        inside = np.einsum("ij,ij->i", centers, centers) <= float(probe.extent) ** 2
+    entries, total = [], 0.0
+    for row in tops[inside]:   # sorted rows in lexicographic order
+        key = tuple(int(i) for i in row)
+        vol = m.cell_volume(p, m.cell_index(p, key))
+        entries.append(ScapeEntry(key, 1, vol))
+        total += vol
+    return tuple(entries), total
+
+
+def random_patch(d, p, region, seed):
+    pts = sample(poisson({2: 400, 3: 600}[d]), unit_box_window(d), seed)
+    rng = np.random.default_rng([seed, 1])
+    base = rng.uniform(0.35, 0.65, size=d)
+    extent = 0.18 if region == "ball" else rng.uniform(0.08, 0.18, size=p)
+    return pts, flat_patch_probe(sample_stiefel(p, d, rng), base, region, extent)
+
+
+@pytest.mark.parametrize("region", ["box", "ball"])
+@pytest.mark.parametrize("d, p", [(2, 1), (3, 1), (3, 2)])
+def test_witness_scape_matches_mosaic_lookup(d, p, region):
+    for seed in range(4):
+        pts, probe = random_patch(d, p, region, 100 * d + 10 * p + seed)
+        s = voronoi_scape_flat(pts, probe)
+        entries, total = mosaic_scape_reference(pts, probe)
+        assert len(entries) > 0
+        assert s.entries == entries
+        assert s.total_volume == total
+        assert voronoi_scape_flat(build_mosaic(pts), probe) == s
+
+
+def test_witness_rejects_a_wrong_power_vertex(monkeypatch):
+    pts, _ = random_patch(3, 2, "ball", 7)
+    # a patch holding every power-diagram vertex, so the wrong one is checked
+    probe = flat_patch_probe(sample_stiefel(2, 3, np.random.default_rng(8)),
+                             np.full(3, 0.5), "ball", 100.0)
+    assert voronoi_scape_flat(pts, probe).entries
+    real = scape.lower_hull_simplices
+
+    def one_wrong_vertex(lifted):
+        tops = real(lifted)
+        present = {tuple(r) for r in tops.tolist()}
+        row = tops[len(tops) // 2].copy()
+        for w in range(row[-2] + 1, len(pts)):
+            if (*row[:-1], w) not in present:
+                row[-1] = w
+                break
+        tops[len(tops) // 2] = row
+        return tops
+
+    monkeypatch.setattr(scape, "lower_hull_simplices", one_wrong_vertex)
+    with pytest.raises(ConsistencyError, match="not a Delaunay cell"):
+        voronoi_scape_flat(pts, probe)
+
+
+def test_scape_trial_builds_no_mosaic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flat scape trial built the ambient mosaic")
+
+    monkeypatch.setattr(experiments, "build_mosaic", refuse)
+    r = experiments.run_experiment(experiments.scape_spec(3, 2, 2000, 0.2, 2, seed=3))
+    assert np.all(np.isfinite(r.values)) and np.all(r.values > 0.0)
+
+
+def unit_rotation(d, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def moved_probe(probe, rows, base, extent):
+    return flat_patch_probe(Frame(rows), base, probe.region, extent)
+
+
+INSTANCES = st.tuples(st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+                      st.sampled_from(["box", "ball"]),
+                      st.integers(0, 2 ** 32 - 1))
+
+
+def scape_of(pts, probe):
+    s = voronoi_scape_flat(pts, probe)
+    return [(e.sites, e.multiplicity) for e in s.entries], s.total_volume
+
+
+@settings(max_examples=20, deadline=None)
+@given(INSTANCES, st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
+def test_witness_scape_translation_invariant(instance, offset):
+    (d, p), region, seed = instance
+    pts, probe = random_patch(d, p, region, seed)
+    t = np.array(offset[:d])
+    keys, total = scape_of(pts, probe)
+    keys_t, total_t = scape_of(pts + t, moved_probe(
+        probe, probe.frame.rows, probe.base + t, probe.extent))
+    assert keys_t == keys
+    assert total_t == pytest.approx(total, rel=1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(INSTANCES, st.floats(-3.0, 3.0))
+def test_witness_scape_scaling_equivariant(instance, log_scale):
+    (d, p), region, seed = instance
+    pts, probe = random_patch(d, p, region, seed)
+    c = 10.0 ** log_scale
+    keys, total = scape_of(pts, probe)
+    keys_c, total_c = scape_of(c * pts, moved_probe(
+        probe, probe.frame.rows, c * probe.base, c * probe.extent))
+    assert keys_c == keys
+    assert total_c == pytest.approx(c ** p * total, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(INSTANCES, st.integers(0, 2 ** 32 - 1))
+def test_witness_scape_rotation_invariant(instance, rot_seed):
+    (d, p), region, seed = instance
+    pts, probe = random_patch(d, p, region, seed)
+    q = unit_rotation(d, rot_seed)
+    keys, total = scape_of(pts, probe)
+    keys_q, total_q = scape_of(pts @ q.T, moved_probe(
+        probe, probe.frame.rows @ q.T, probe.base @ q.T, probe.extent))
+    assert keys_q == keys
+    assert total_q == pytest.approx(total, rel=1e-9)
 
 
 # ---------------- distortion ----------------
