@@ -6,7 +6,7 @@ that parallel trials reproduce bitwise regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammaln
@@ -19,8 +19,27 @@ def unit_ball_volume(d: int) -> float:
     return float(np.exp(d / 2.0 * np.log(np.pi) - gammaln(d / 2.0 + 1.0)))
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
+class _ByValue:
+    """Equality and hashing over a dataclass's fields, arrays by value."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple((v.shape, tuple(v.ravel().tolist()))
+                     if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Window(_ByValue):
     """Sampling region: an axis-aligned box or a ball.
 
     For a box, `extent` is the half-extent in every axis; for a ball it is
@@ -61,15 +80,15 @@ def window_volume(w: Window) -> float:
     return unit_ball_volume(w.d) * w.extent ** w.d
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessSpec:
+@dataclass(frozen=True, slots=True, eq=False)
+class ProcessSpec(_ByValue):
     """What to sample: poisson(rho), lattice(spacing, jitter), or explicit points."""
 
     kind: str
     rho: float = 0.0
     spacing: float = 0.0
     jitter: float | None = None
-    points: np.ndarray | None = field(default=None, compare=False)
+    points: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == "poisson":

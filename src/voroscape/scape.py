@@ -8,6 +8,8 @@ to minus the squared projection offsets (Aurenhammer 1987), so the patch's
 scape is read off the weighted Delaunay triangulation built by the same
 lifting machinery, with no ambient mosaic. A nearest-site witness at every
 power-diagram vertex checks that its p + 1 sites span a Delaunay p-cell.
+Either way the cells arrive as sorted index rows, and a scape measures all
+of them with one batched simplex_volumes call.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from scipy.spatial import cKDTree
 
 from .delaunay import Mosaic, lower_hull_simplices, nearest_site
 from .errors import ConsistencyError, CoverageError, DegenerateInputError
-from .geometry import Frame, simplex_volume
+from .geometry import Frame, simplex_volumes
 from .pointproc import unit_ball_volume
 
 CROSS_TOL = 1e-10       # crossing-parameter tolerance in the walk
 PERTURB_EPS = 1e-9      # deterministic probe displacement on degenerate hits
 WEIGHT_JITTER = 1e-12   # weight perturbation when the power diagram degenerates
 MAX_REWALKS = 8
+TIE_TOL = 1e-9          # relative distance gap below which witness sites tie
 
 
 @dataclass(frozen=True)
@@ -132,27 +135,34 @@ class Scape:
         return Counter({e.sites: e.multiplicity for e in self.entries})
 
 
-def _make_scape(p: int, counts: Counter, volume, perturbed: bool) -> Scape:
-    """Scape of counted p-cells in sorted order; volume(key) is a cell's p-volume."""
-    entries = []
-    total = 0.0
-    for key in sorted(counts):
-        mult = counts[key]
-        vol = volume(key)
-        entries.append(ScapeEntry(key, mult, vol))
-        total += mult * vol
-    return Scape(p, tuple(entries), total, perturbed)
+def _make_scape(p: int, sites, rows, mults, perturbed: bool) -> Scape:
+    """Scape of the p-cells on the rows of `rows`, sorted site indices in
+    lexicographic row order, counted `mults` times each.
+
+    Every volume comes from one simplex_volumes call on the cells' sites.
+    The total adds multiplicity times volume left to right in row order
+    (cumsum is sequential), so it equals a per-entry running sum bitwise.
+    """
+    if not len(rows):
+        return Scape(p, (), 0.0, perturbed)
+    vols = simplex_volumes(sites[rows])
+    total = float(np.cumsum(mults * vols)[-1])
+    entries = tuple(map(ScapeEntry, map(tuple, rows.tolist()), mults.tolist(),
+                        vols.tolist()))
+    return Scape(p, entries, total, perturbed)
 
 
-def _mosaic_volume(m: Mosaic, p: int):
-    def volume(key):
+def _path_scape(m: Mosaic, counts: Counter, perturbed: bool) -> Scape:
+    """Scape of the walked edges; each must be an edge of the mosaic."""
+    keys = sorted(counts)
+    for key in keys:
         try:
-            idx = m.cell_index(p, key)
+            m.cell_index(1, key)
         except KeyError as exc:
-            raise ConsistencyError(
-                f"{len(key) - 1}-cell {key} is not a cell of the mosaic") from exc
-        return m.cell_volume(p, idx)
-    return volume
+            raise ConsistencyError(f"1-cell {key} is not a cell of the mosaic") from exc
+    rows = np.array(keys, dtype=np.intp).reshape(len(keys), 2)
+    mults = np.array([counts[key] for key in keys], dtype=np.int64)
+    return _make_scape(1, m.sites, rows, mults, perturbed)
 
 
 def _walk_segment(m: Mosaic, a, b, start_site: int, counts: Counter) -> int:
@@ -233,7 +243,7 @@ def voronoi_path(m: Mosaic, probe: Probe) -> Scape:
                 s = _walk_segment(m, a, verts[i + 1] + shift, s, counts)
             if _vertex_on_voronoi_face(m, verts[-1] + shift, s):
                 raise DegenerateInputError("polyline vertex on a Voronoi face")
-            return _make_scape(1, counts, _mosaic_volume(m, 1), attempt > 0)
+            return _path_scape(m, counts, attempt > 0)
         except DegenerateInputError:
             continue
     raise DegenerateInputError("probe keeps hitting degenerate Voronoi faces")
@@ -291,11 +301,13 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     build_mosaic (weights shift the lift height). Every power-diagram vertex
     inside the patch is the spot where the flat pierces a Voronoi (d-p)-cell,
     and the scape collects the Delaunay p-cell on the same p+1 sites, with
-    multiplicity 1 and its unprojected p-volume, simplex_volume of its
-    sites. A witness checks each such vertex: lifted back to ambient
+    multiplicity 1 and its unprojected p-volume. The weighted tops come
+    sorted and unique, so the rows inside the patch go to _make_scape as
+    they are. A witness checks each such vertex: lifted back to ambient
     coordinates, its p+1 nearest sites must be the cell's own and the next
-    site strictly farther, which is the definition of the dual Voronoi cell;
-    a failure raises ConsistencyError.
+    site strictly farther, which is the definition of the dual Voronoi cell.
+    A tie within TIE_TOL raises DegenerateInputError, any other failure
+    ConsistencyError (see _check_witnesses).
     """
     if probe.kind != "flat_patch":
         raise ValueError("voronoi_scape_flat expects a flat patch probe")
@@ -335,23 +347,37 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
         inside = np.einsum("ij,ij->i", centers, centers) <= float(probe.extent) ** 2
     rows = wtops[inside]
     _check_witnesses(rel, centers[inside] @ probe.frame.rows, rows)
-    counts = Counter(tuple(int(i) for i in row) for row in rows)
-    return _make_scape(p, counts, lambda key: simplex_volume(sites[list(key)]),
+    return _make_scape(p, sites, rows, np.ones(len(rows), dtype=np.int64),
                        perturbed)
 
 
 def _check_witnesses(rel, points, rows) -> None:
     """Each point's len(row) nearest sites are its row's, the next strictly
-    farther; rel and points share coordinates centered on the patch base."""
+    farther; rel and points share coordinates centered on the patch base.
+
+    Where that fails, the nearest site outside the row decides: within
+    TIE_TOL (relative) of the row's farthest site it ties, the power
+    diagram is degenerate there and DegenerateInputError is raised; nearer
+    than that, the row is not a Delaunay cell and ConsistencyError is raised.
+    """
     k = rows.shape[1]
-    dist, near = cKDTree(rel).query(points, k=k + 1)
+    # an unbalanced tree builds faster and answers the same exact queries
+    dist, near = cKDTree(rel, balanced_tree=False).query(points, k=k + 1)
     bad = np.any(np.sort(near[:, :k], axis=1) != rows, axis=1)
     bad |= dist[:, k] <= dist[:, k - 1]
-    if np.any(bad):
-        row = tuple(int(i) for i in rows[np.argmax(bad)])
-        raise ConsistencyError(
-            f"{k - 1}-cell {row} is not a Delaunay cell of the sites: "
-            f"its power-diagram vertex has other nearest sites")
+    if not np.any(bad):
+        return
+    for i in np.flatnonzero(bad):
+        row = rows[i]
+        reach = np.max(np.linalg.norm(rel[row] - points[i], axis=1))
+        outside = ~np.isin(near[i], row)
+        if dist[i][outside][0] < reach * (1.0 - TIE_TOL):
+            raise ConsistencyError(
+                f"{k - 1}-cell {tuple(row.tolist())} is not a Delaunay cell of "
+                f"the sites: its power-diagram vertex has other nearest sites")
+    raise DegenerateInputError(
+        "power-diagram vertex equidistant from more than "
+        f"{k} sites (witness tie)")
 
 
 def distortion(s: Scape, probe: Probe) -> float:

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from math import pi
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from voroscape.experiments import (WORKERS_ENV, ExperimentSpec, default_margin,
                                    expected_interior_sites, mixedvol_spec,
                                    moments_spec, path_spec, run_constants,
                                    run_experiment, scape_spec, worker_count)
-from voroscape.pointproc import poisson, unit_box_window
+from voroscape.pointproc import Window, explicit, poisson, unit_box_window
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,6 +48,27 @@ def test_spec_validation():
         ExperimentSpec("mixedvol", 2, 1, poisson(100), w, 5)
     with pytest.raises(ValueError):
         ExperimentSpec("warp", 2, 1, poisson(100), w, 5)
+
+
+def test_specs_compare_and_hash_by_value():
+    a, b = path_spec(2, 100, 0.3, 1), path_spec(2, 100, 0.3, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, scape_spec(3, 2, 100, 0.2, 1)}) == 2
+    assert a != path_spec(2, 100, 0.3, 2)
+    assert a != path_spec(2, 100, 0.3, 1, window=Window("box", [0.5, 0.6], 0.5))
+    assert a != replace(a, window=replace(a.window, kind="ball"))
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == hash(a) and c is not a
+
+
+def test_explicit_specs_compare_points_by_value():
+    pts = [[0.1, 0.2], [0.3, 0.4]]
+    assert explicit(pts) == explicit(np.array(pts))
+    assert hash(explicit(pts)) == hash(explicit(np.array(pts)))
+    assert explicit(pts) != explicit([[0.1, 0.2], [0.3, 0.5]])
+    assert explicit(np.zeros((2, 3))) != explicit(np.zeros((3, 2)))
+    q = pickle.loads(pickle.dumps(explicit(pts)))
+    assert q == explicit(pts) and replace(q, points=q.points + 1.0) != q
 
 
 def test_default_margin_value():

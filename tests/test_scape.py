@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voroscape import experiments, scape
+from voroscape import delaunay, experiments, geometry, scape
 from voroscape.delaunay import build_mosaic, lower_hull_simplices, nearest_site
 from voroscape.errors import ConsistencyError, CoverageError, DegenerateInputError
 from voroscape.geometry import Frame
 from voroscape.moments import sample_stiefel
-from voroscape.pointproc import poisson, sample, unit_box_window
+from voroscape.pointproc import lattice, poisson, sample, unit_box_window
 from voroscape.scape import (Probe, ScapeEntry, distortion, flat_patch_probe,
                              power_nearest, project_weights, segment_probe,
                              voronoi_path, voronoi_scape_flat,
@@ -217,6 +219,23 @@ def test_rigid_motion_equivariance():
     assert np.allclose(v0, v2, rtol=1e-9)
 
 
+def test_back_and_forth_path_matches_per_entry_volumes():
+    # the polyline crosses the same Voronoi facets going and coming back
+    m, _ = poisson_mosaic(2, 200, 21)
+    probe = Probe("polyline", vertices=np.array([
+        [0.35, 0.5], [0.65, 0.5], [0.35, 0.51], [0.65, 0.52]]))
+    s = voronoi_path(m, probe)
+    assert max(e.multiplicity for e in s.entries) > 1
+    assert [e.sites for e in s.entries] == sorted(e.sites for e in s.entries)
+    entries, total = [], 0.0
+    for e in s.entries:
+        vol = m.cell_volume(1, m.cell_index(1, e.sites))
+        entries.append(ScapeEntry(e.sites, e.multiplicity, vol))
+        total += e.multiplicity * vol
+    assert s.entries == tuple(entries)
+    assert s.total_volume == total
+
+
 # ---------------- witness scape (sites only) ----------------
 
 def mosaic_scape_reference(pts, probe):
@@ -297,6 +316,62 @@ def test_scape_trial_builds_no_mosaic(monkeypatch):
     monkeypatch.setattr(experiments, "build_mosaic", refuse)
     r = experiments.run_experiment(experiments.scape_spec(3, 2, 2000, 0.2, 2, seed=3))
     assert np.all(np.isfinite(r.values)) and np.all(r.values > 0.0)
+
+
+def test_scape_trial_makes_one_batched_volume_call(monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(len(v))
+        return geometry.simplex_volumes(v)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flat scape measured a cell on its own")
+
+    monkeypatch.setattr(scape, "simplex_volumes", counted)
+    monkeypatch.setattr(geometry, "simplex_volume", refuse)
+    monkeypatch.setattr(delaunay, "simplex_volume", refuse)
+    r = experiments.run_experiment(experiments.scape_spec(3, 2, 2000, 0.2, 1, seed=4))
+    assert len(calls) == 1 and calls[0] > 0
+    assert np.isfinite(r.values[0])
+
+
+def test_patch_without_power_vertices_still_runs_the_witness(monkeypatch):
+    pts = sample(poisson(100), unit_box_window(3), 10)
+    i = int(np.argmin(np.linalg.norm(pts - 0.5, axis=1)))
+    probe = flat_patch_probe(sample_stiefel(2, 3, np.random.default_rng(11)),
+                             pts[i], "box", [1e-6, 1e-6])
+    checked = []
+    real = scape._check_witnesses
+
+    def counted(rel, points, rows):
+        checked.append(rows.shape)
+        real(rel, points, rows)
+
+    monkeypatch.setattr(scape, "_check_witnesses", counted)
+    s = voronoi_scape_flat(pts, probe)
+    assert s.entries == () and s.total_volume == 0.0
+    assert checked == [(0, 3)]
+
+
+def test_exact_lattice_ties_are_degenerate_not_inconsistent():
+    # on an unjittered lattice the flat meets Voronoi edges shared by four
+    # cells, so power-diagram vertices tie; that is degenerate input, not a bug
+    pts = sample(lattice(0.1, jitter=0.0), unit_box_window(3), 0)
+    outcomes = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        probe = flat_patch_probe(sample_stiefel(2, 3, rng),
+                                 rng.uniform(0.3, 0.7, size=3), "box", 0.075)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                voronoi_scape_flat(pts, probe)
+            outcomes.append("scape")
+        except DegenerateInputError as exc:
+            assert "tie" in str(exc) or "degenerate" in str(exc)
+            outcomes.append("degenerate")
+    assert "degenerate" in outcomes
 
 
 def unit_rotation(d, seed):
