@@ -37,6 +37,61 @@ MAX_DIM = 4
 MAX_KEY = 2 ** 63       # packed face keys below n**d must fit an int64
 
 
+def _sort_runs(keys):
+    """The stable argsort of nonnegative int64 keys, and the flags along it
+    that start each run of equal keys, from numpy's default SIMD sorts.
+
+    While key * L + position fits an int64 (L = len(keys)), one value sort
+    of those composites gives the sorted keys and positions at once (divmod
+    by L). Otherwise the default argsort orders the keys, which is not
+    stable, and one value sort of run * L + position puts each run back in
+    position order. Either way the order equals argsort(kind="stable")
+    bitwise. run * L + position stays below L**2, which fits an int64 for
+    every array of fewer than 3 * 10**9 keys (24 GB of keys alone).
+    """
+    n = len(keys)
+    wide = n and (int(keys.max()) + 1) * n > MAX_KEY
+    if wide:
+        order = np.argsort(keys)
+        s = keys[order]
+    else:
+        s, order = np.divmod(np.sort(keys * n + np.arange(n)), n)
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    if wide and not new.all():
+        run = np.cumsum(new) - 1
+        if (int(run[-1]) + 1) * n > MAX_KEY:
+            raise ValueError(f"{n} keys overflow the int64 tie-break")
+        offset = run * n
+        order = np.sort(offset + order) - offset
+    return order, new
+
+
+def _row_order(rows):
+    """(order, new) of _sort_runs for the lexicographic order of int rows
+    with entries in [0, n): order equals np.lexsort(rows.T[::-1]) bitwise,
+    and new flags the first of each run of equal rows along it.
+
+    Columns pack into one key base n from the left while it fits an int64;
+    a column that would not fit first replaces the key by its dense rank.
+    """
+    m, c = rows.shape
+    if not m or not c:
+        return np.arange(m), np.ones(m, dtype=bool)
+    base = int(rows.max()) + 1
+    key, span = rows[:, 0].astype(np.int64), base
+    for col in rows.T[1:]:
+        if span * base > MAX_KEY:
+            order, new = _sort_runs(key)
+            key = np.empty(m, dtype=np.int64)
+            key[order] = np.cumsum(new) - 1
+            span = int(key.max()) + 1
+        key = key * base + col
+        span *= base
+    return _sort_runs(key)
+
+
 def lower_hull_simplices(lifted, tol=LIFT_TOL):
     """Vertex-index rows of the lower facets of the hull of lifted points.
 
@@ -59,9 +114,8 @@ def lower_hull_simplices(lifted, tol=LIFT_TOL):
             f"degenerate configuration ({n} points, cospherical or flat)") from exc
     low = hull.equations[:, dim1 - 1] < -tol
     tops = np.sort(hull.simplices[low], axis=1)
-    tops = tops[np.lexsort(tops.T[::-1])]
-    # site indices are nonnegative, so the -1 row keeps the first row
-    return tops[np.any(np.diff(tops, axis=0, prepend=-1) != 0, axis=1)]
+    order, new = _row_order(tops)
+    return tops[order[new]]
 
 
 @dataclass(frozen=True)
@@ -106,10 +160,10 @@ class FaceLattice(Mapping):
 
     self[k] is an (m_k, k+1) int32 array of sorted site indices in
     lexicographic row order. A row packs into the int64 key sum_i
-    row[i] * n**(k-i), which orders keys as the rows; one stable argsort of
-    the keys of every (k+1)-subset of every top gives the cells, their
-    cofaces and top_faces. Holds only the tops and n, no reference to its
-    mosaic, so a mosaic is freed by reference counting.
+    row[i] * n**(k-i), which orders keys as the rows; one stable ordering
+    (_sort_runs) of the keys of every (k+1)-subset of every top gives the
+    cells, their cofaces and top_faces. Holds only the tops and n, no
+    reference to its mosaic, so a mosaic is freed by reference counting.
     """
 
     def __init__(self, tops: np.ndarray, n: int):
@@ -175,9 +229,8 @@ class FaceLattice(Mapping):
             place = np.int64(n) ** np.arange(k, -1, -1)
             # subset j of top t sits at j * len(tops) + t
             flat = (tops[:, subs] @ place).T.ravel()
-            # stable, so each cell's cofaces keep increasing top order
-            order = np.argsort(flat, kind="stable")
-            new = np.r_[True, flat[order[1:]] != flat[order[:-1]]]
+            # stable: each cell's cofaces keep their order in flat
+            order, new = _sort_runs(flat)
             keys = flat[order[new]]
             inv = np.empty(len(order), dtype=np.int32)
             inv[order] = np.cumsum(new) - 1
@@ -261,8 +314,7 @@ class Mosaic:
         if self._neighbors is None:
             edges = self.cells[1]
             both = np.concatenate([edges, edges[:, ::-1]])
-            order = np.lexsort((both[:, 1], both[:, 0]))
-            both = both[order]
+            both = both[_row_order(both)[0]]
             n = len(self.sites)
             indptr = np.searchsorted(both[:, 0], np.arange(n + 1))
             self._neighbors = (indptr, np.ascontiguousarray(both[:, 1]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import wraps
 from math import factorial
 
 import numpy as np
@@ -20,6 +21,8 @@ GRAM_TOL = 1e-10    # degeneracy threshold on normalized Gram determinants
 FRAME_TOL = 1e-10   # orthonormality tolerance
 AFFINE_TOL = 1e-8   # vertex-in-affine-hull tolerance
 RANK_TOL = 1e-12    # rank-deficiency threshold in orthonormalize
+HEIGHT_TOL = 1e-13  # simplex heights, relative to their edge, that are 0
+BATCH = 8192        # simplices per kernel pass, so that its arrays stay in cache
 
 
 def _as_points(v):
@@ -115,53 +118,140 @@ class PolytopeCell:
         return self.basis.d
 
 
+def _edges(v) -> np.ndarray:
+    """Edge rows v_i - v_0 of a stack of k-simplices, v of shape (m, k+1, d),
+    in column layout (k, d, m): edge i of simplex s is e[i, :, s]."""
+    vt = v.transpose(1, 2, 0)
+    return np.subtract(vt[1:], vt[:1], order="C")
+
+
+def _dot(a, b):
+    # sum over the leading axis of a * b, one elementwise product and add at
+    # a time, so that each value comes out the same in any batch
+    out = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out += x * y
+    return out
+
+
+def _gram_schmidt(e):
+    """Batched modified Gram-Schmidt of edge rows in column layout (k, d, m).
+
+    Returns q (k, d, m), the orthonormalized edges, and low (k, k, m), the
+    lower-triangular L = R^T of the QR factorization E^T = Q R of each
+    simplex: low[i, j] = q_j . e_i below the diagonal and low[i, i] the
+    height of edge i over the span of the edges before it. A height within
+    HEIGHT_TOL of its edge's length is round-off of an edge in that span:
+    it stays 0, and so does its q, so that no later edge projects on noise.
+    Python loops run only over k and d, both at most 4 here, and every step
+    is elementwise across the batch, so a simplex gets the same numbers in
+    any batch.
+    """
+    k, d, m = e.shape
+    q = np.empty_like(e)
+    low = np.zeros((k, k, m))
+    keep = HEIGHT_TOL ** 2 * _dot(e.transpose(1, 0, 2), e.transpose(1, 0, 2))
+    for i in range(k):
+        w = e[i]
+        # a second pass restores the orthogonality that the first loses to
+        # cancellation on a thin simplex ("twice is enough")
+        for _ in range(2 if i else 0):
+            for j in range(i):
+                c = _dot(q[j], w)
+                low[i, j] += c
+                w = w - c * q[j]
+        h2 = _dot(w, w)
+        tall = h2 > keep[i]
+        low[i, i] = np.sqrt(np.where(tall, h2, 0.0))
+        q[i] = w / np.where(tall, low[i, i], np.inf)
+    return q, low
+
+
+def _batched(kernel):
+    # run a kernel on slices of at most BATCH simplices (and of the arrays
+    # that go with them); it works elementwise across the stack, so the
+    # slicing moves no value
+    @wraps(kernel)
+    def run(v, *more):
+        v = np.asarray(v, dtype=float)
+        if len(v) <= BATCH:
+            return kernel(v, *more)
+        parts = [kernel(v[i:i + BATCH], *(x[i:i + BATCH] for x in more))
+                 for i in range(0, len(v), BATCH)]
+        return np.concatenate(parts)
+    return run
+
+
+@_batched
 def simplex_volumes(v) -> np.ndarray:
     """k-dimensional volumes of a stack of k-simplices, v of shape (m, k+1, d).
 
-    |det E| / k! for full-dimensional simplices (k = d), sqrt(det(E E^T)) / k!
-    below, with E the edge rows v_i - v_0; the Gram form squares the
-    condition number of E, which cancels away most digits of a thin
-    simplex's volume. A point (k = 0) has volume 1, the convention used by
-    tile measures.
+    The product of the heights from _gram_schmidt over k!, for every
+    0 <= k <= d: orthogonalizing the edge rows keeps the digits of a thin
+    simplex, which a Gram determinant would square away. A point (k = 0)
+    has volume 1, the convention used by tile measures; a flat simplex has
+    volume 0.
     """
-    v = np.asarray(v, dtype=float)
-    e = v[:, 1:] - v[:, :1]
-    if e.shape[1] == e.shape[2]:
-        return np.abs(np.linalg.det(e)) / factorial(e.shape[1])
-    det = np.linalg.det(np.einsum("mij,mlj->mil", e, e))
-    return np.sqrt(np.maximum(det, 0.0)) / factorial(e.shape[1])
+    e = _edges(v)
+    vol = np.ones(e.shape[2])
+    if len(e):
+        low = _gram_schmidt(e)[1]
+        for i in range(len(e)):
+            vol *= low[i, i]
+    return vol / factorial(len(e))
 
 
 def simplex_volume(s) -> float:
-    """k-dimensional volume of a k-simplex, via the Gram determinant.
+    """k-dimensional volume of a k-simplex, from simplex_volumes.
 
-    Accepts a Simplex or a (k+1, d) vertex array. The volume is the raw
-    Gram volume, so a thin simplex keeps its small volume and affinely
-    dependent vertices give 0 up to round-off; Simplex.degenerate is the
-    separate test for affine dependence within tolerance.
+    Accepts a Simplex or a (k+1, d) vertex array. A thin simplex keeps its
+    small volume and affinely dependent vertices give 0;
+    Simplex.degenerate is the separate test for affine dependence within
+    tolerance.
     """
     v = s.vertices if isinstance(s, Simplex) else _as_points(s)
     return float(simplex_volumes(v[None])[0])
 
 
+def _span_solve(e, b) -> np.ndarray:
+    # x (d, m) in the span of the edges e (k, d, m) with e_i . x = b[i]
+    k, d, m = e.shape
+    if not k:
+        return np.zeros((d, m))
+    q, low = _gram_schmidt(e)
+    if not np.all(low[np.arange(k), np.arange(k)] > 0.0):
+        raise DegenerateInputError("degenerate configuration (flat simplex)")
+    z = np.empty((k, m))
+    for i in range(k):
+        z[i] = (b[i] - _dot(low[i, :i], z[:i]) if i else b[i]) / low[i, i]
+    return _dot(z[:, None], q)
+
+
+@_batched
+def span_solve(v, b) -> np.ndarray:
+    """The point x in the span of the edge rows E = v_i - v_0 of each
+    k-simplex with E x = b, for v of shape (m, k+1, d) and b of shape (m, k).
+
+    With E^T = Q R from _gram_schmidt, x = Q z for the forward substitution
+    R^T z = b; the edge rows are never multiplied together, so a thin
+    simplex keeps its digits. A zero height (a flat simplex) raises
+    DegenerateInputError.
+    """
+    x = _span_solve(_edges(v), np.asarray(b, dtype=float).T)
+    return np.ascontiguousarray(x.T)
+
+
+@_batched
 def circumcenters(v) -> np.ndarray:
     """Circumcenters of a stack of k-simplices, v of shape (m, k+1, d).
 
-    The center is v_0 + x with E x = diag(E E^T) / 2 for the edge rows
-    E = v_i - v_0. A full-dimensional simplex solves that square system
-    directly; a lower one keeps x = E^T a in its affine hull and solves the
-    Gram system for a, which squares the condition number of E.
+    The center is v_0 + x with x in the affine hull's directions and
+    E x = diag(E E^T) / 2 for the edge rows E = v_i - v_0 (span_solve), for
+    every 0 <= k <= d. A flat simplex raises DegenerateInputError.
     """
-    v = np.asarray(v, dtype=float)
-    e = v[:, 1:] - v[:, :1]
-    half = 0.5 * np.einsum("mij,mij->mi", e, e)[..., None]
-    try:
-        if e.shape[1] == e.shape[2]:
-            return v[:, 0] + np.linalg.solve(e, half)[..., 0]
-        a = np.linalg.solve(e @ e.transpose(0, 2, 1), half)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInputError("degenerate configuration (flat simplex)") from exc
-    return v[:, 0] + (a.transpose(0, 2, 1) @ e)[:, 0]
+    e = _edges(v)
+    half = 0.5 * _dot(e.transpose(1, 0, 2), e.transpose(1, 0, 2))
+    return v[:, 0] + _span_solve(e, half).T
 
 
 def circumsphere(s):

@@ -124,15 +124,21 @@ def mixed_volume_sum(m: Mosaic, p: int, R: float, center=None,
     nu_d C(d,p) R^d is exact only in the R -> infinity limit, so the
     interior ratio approaches 1 from below as the intensity grows.
     """
+    center = np.zeros(m.d) if center is None else np.asarray(center, dtype=float)
+    return _mixed_volume_sum(m, p, R, center, seed)[0]
+
+
+def _mixed_volume_sum(m: Mosaic, p: int, R: float, center, seed=None):
+    # the report, and the mask over the p-cells it sums
     d = m.d
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     predicted = unit_ball_volume(d) * comb(d, p) * R ** d
-    idx = np.nonzero(_contained(m, p, R, center))[0]
+    summed = _contained(m, p, R, center)
+    idx = np.nonzero(summed)[0]
     mixed, z0, R0 = _pairs(m, p, idx)
     bnd = np.linalg.norm(z0 - center, axis=1) + R0 >= R
     si, sb = float(mixed[~bnd].sum()), float(mixed[bnd].sum())
     return MixedSumReport(d, p, R, si, sb, predicted, si / predicted, len(idx),
-                          int(bnd.sum()), seed)
+                          int(bnd.sum()), seed), summed
 
 
 def partition_sum(m: Mosaic, p: int, R: float, center=None,
@@ -151,41 +157,44 @@ def partition_sum(m: Mosaic, p: int, R: float, center=None,
     on a local mosaic certified by ball_sum it is bitwise the total on the
     whole mosaic.
     """
+    center = np.zeros(m.d) if center is None else np.asarray(center, dtype=float)
+    return _partition_sum(m, p, R, center, seed)[0]
+
+
+def _partition_sum(m: Mosaic, p: int, R: float, center, seed=None):
+    # the report, and the mask over the p-cells whose stars it reads: for
+    # p = 0 the sites with a positive clipped volume, for p = d the tops
+    # whose circumdisk meets the open ball
     d = m.d
     if p not in (0, d):
         raise ValueError("partition sums are defined for p = 0 and p = d")
     if d != 2:
         raise ValueError("exact ball clipping is implemented for d = 2")
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     predicted = unit_ball_volume(d) * comb(d, p) * R ** d
     if p == 0:
         vols = clipped_voronoi_volumes(m, Window("ball", center, R))
-        total = float(vols[vols > 0.0].sum())
-        n = int(np.sum(vols > 0.0))
+        summed = vols > 0.0
+        total = float(vols[summed].sum())
+        n = int(np.sum(summed))
     else:
         verts = m.sites[m.cells[d]]
         full = _contained(m, d, R, center)
+        summed = _reaching(m, R, center)
         whole = simplex_volumes(verts[full])
-        tri = verts[_reaching(m, R, center) & ~full].reshape(-1, 2)
+        tri = verts[summed & ~full].reshape(-1, 2)
         cut = polygon_disk_areas(tri, np.arange(0, len(tri) + 1, 3), center, R)
         total = float(whole.sum() + cut[cut > 0.0].sum())
         n = len(whole) + int(np.sum(cut > 0.0))
-    return MixedSumReport(d, p, R, total, 0.0, predicted, total / predicted, n, 0, seed)
+    return MixedSumReport(d, p, R, total, 0.0, predicted, total / predicted, n, 0,
+                          seed), summed
 
 
-def _read_tops(m: Mosaic, p: int, R: float, center) -> np.ndarray | None:
+def _read_tops(m: Mosaic, p: int, R: float, center, summed) -> np.ndarray | None:
     """Mask over the tops whose circumcenters and radii the ball sum of
-    p-cells over B(center, R) reads: the stars of the cells it sums, which
-    for p = 0 are the sites with a positive clipped volume and for p = d
-    the tops whose circumdisk meets the open ball. None when the site hull
-    of m cuts the sum: a summed cell on the hull, or for p = d a ball that
-    is not inside the hull."""
-    if p == 0:
-        summed = clipped_voronoi_volumes(m, Window("ball", center, R)) > 0.0
-    elif p < m.d:
-        summed = _contained(m, p, R, center)
-    else:
-        summed = _reaching(m, R, center)
+    p-cells over B(center, R) reads: the stars of the summed p-cells, as
+    masked by the sum itself. None when the site hull of m cuts the sum: a
+    summed cell on the hull, or for p = d a ball that is not inside the
+    hull."""
     if p < m.d:
         cut = np.any(m.boundary_mask(p)[summed])
     else:
@@ -218,20 +227,20 @@ def ball_sum(points, p: int, R: float, window: Window) -> MixedSumReport:
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     center = window.center
-    sum_of = partition_sum if p in (0, d) else mixed_volume_sum
+    sum_of = _partition_sum if p in (0, d) else _mixed_volume_sum
     dist = np.linalg.norm(pts - center, axis=1)
     pad = PAD_SPACINGS * (window_volume(window) / max(n, 1)) ** (1.0 / d)
     while True:
         keep = np.nonzero(dist < R + pad)[0]
         if len(keep) == n:
-            return sum_of(build_mosaic(pts), p, R, center)
+            return sum_of(build_mosaic(pts), p, R, center)[0]
         try:
             m = build_mosaic(pts[keep])
         except DegenerateInputError:
             m = None   # too few or flat sites certify nothing
         if m is not None:
-            rep = sum_of(m, p, R, center)
-            read = _read_tops(m, p, R, center)
+            rep, summed = sum_of(m, p, R, center)
+            read = _read_tops(m, p, R, center, summed)
             if read is not None and np.all(
                     np.linalg.norm(m.top_circumcenters[read] - center, axis=1)
                     + m.top_circumradii[read] < (R + pad) * (1.0 - EMPTY_SPHERE_TOL)):

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .delaunay import Mosaic, lower_hull_simplices, nearest_site
 from .errors import ConsistencyError, CoverageError, DegenerateInputError
-from .geometry import Frame, simplex_volumes
+from .geometry import Frame, simplex_volumes, span_solve
 from .pointproc import unit_ball_volume
 
 CROSS_TOL = 1e-10       # crossing-parameter tolerance in the walk
@@ -332,13 +332,12 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     if perturbed:
         warnings.warn("degenerate power diagram, weights jittered", stacklevel=2)
 
-    # orthocenters: the power-equidistant points of the weighted tops
-    y0 = y[wtops[:, 0]]
-    A = 2.0 * (y[wtops[:, 1:]] - y0[:, None, :])
-    rhs = lift[wtops[:, 1:]] - lift[wtops[:, 0]][:, None]
+    # orthocenters: the power-equidistant points c of the weighted tops,
+    # 2 (y_i - y_0) . c = lift_i - lift_0
     try:
-        centers = np.linalg.solve(A, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
+        centers = span_solve(
+            y[wtops], 0.5 * (lift[wtops[:, 1:]] - lift[wtops[:, :1]]))
+    except DegenerateInputError as exc:
         raise DegenerateInputError(
             "degenerate power diagram (flat weighted cell)") from exc
     if probe.region == "box":

@@ -98,10 +98,18 @@ def reference_lattice(tops):
     return out
 
 
-@pytest.mark.parametrize("d, rho", [(1, 60), (2, 300), (3, 300), (4, 120)])
-def test_lattice_matches_reference(d, rho):
-    pts = sample(poisson(rho), unit_box_window(d), d)
-    m = build_mosaic(pts)
+def reference_neighbors(edges, n):
+    """CSR site adjacency from sorted Python neighbor lists."""
+    lists = [set() for _ in range(n)]
+    for a, b in edges.tolist():
+        lists[a].add(b)
+        lists[b].add(a)
+    lists = [sorted(x) for x in lists]
+    return np.cumsum([0] + [len(x) for x in lists]), np.array(sum(lists, []))
+
+
+def check_lattice(m):
+    d, pts = m.d, m.sites
     ref = reference_lattice(m.cells[d])
     for k in range(d + 1):
         cells, (indptr, tops), top_faces = ref[k]
@@ -116,6 +124,9 @@ def test_lattice_matches_reference(d, rho):
             assert np.array_equal(m.facets(k), np.array(facets).reshape(-1, k + 1))
         for i, row in enumerate(cells.tolist()):
             assert m.cell_index(k, row) == i
+    indptr, nbrs = reference_neighbors(ref[1][0], len(pts))
+    assert np.array_equal(m.neighbors[0], indptr)
+    assert np.array_equal(m.neighbors[1], nbrs)
     absent = [(len(pts),), (0, 0), (1, 0), (-1, 0), (0,) * (d + 2)]
     for k in (d - 1, d):
         present = set(map(tuple, m.cells[k].tolist()))
@@ -124,6 +135,56 @@ def test_lattice_matches_reference(d, rho):
     for row in absent:
         with pytest.raises(KeyError):
             m.cell_index(len(row) - 1, row)
+
+
+@pytest.mark.parametrize("d, rho", [(1, 60), (2, 300), (3, 300), (4, 120)])
+def test_lattice_matches_reference(d, rho):
+    check_lattice(build_mosaic(sample(poisson(rho), unit_box_window(d), d)))
+
+
+@pytest.mark.parametrize("d, n", [(2, 400), (3, 250)])
+def test_tie_heavy_lattice_matches_reference(d, n):
+    # a center site on every top: sites on a circle or sphere around it, so
+    # one vertex key repeats n (2D) or about 2n (3D) times in its level
+    if d == 2:
+        t = 2.0 * np.pi * np.arange(n) / n
+        ring = np.column_stack([np.cos(t), np.sin(t)])
+    else:
+        z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+        t = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(n)
+        ring = np.column_stack([np.sqrt(1.0 - z * z) * np.cos(t),
+                                np.sqrt(1.0 - z * z) * np.sin(t), z])
+    pts = np.vstack([ring[: n // 2], np.zeros((1, d)), ring[n // 2:]])
+    m = build_mosaic(pts)
+    assert np.diff(m.cells.cofaces(0)[0])[n // 2] == m.n_cells(d) >= n
+    check_lattice(m)
+
+
+@pytest.mark.parametrize("n, low, high", [
+    (0, 0, 5), (1, 0, 5), (2, 0, 1), (7, 0, 2), (500, 0, 3), (500, 0, 10 ** 15),
+    (3000, 0, 40), (500, 0, 2 ** 62), (3000, 2 ** 62, 2 ** 62 + 40)])
+def test_sort_runs_is_the_stable_argsort(n, low, high):
+    # keys above 2**63 / n take the argsort and the run tie-break
+    keys = np.random.default_rng([n, 1]).integers(low, high, n)
+    order, new = delaunay._sort_runs(keys)
+    ref = np.argsort(keys, kind="stable")
+    assert order.dtype == ref.dtype and np.array_equal(order, ref)
+    s = keys[ref]
+    assert np.array_equal(new, np.r_[True, s[1:] != s[:-1]][:n])
+
+
+@pytest.mark.parametrize("n, c, high", [(0, 3, 5), (1, 3, 5), (1, 1, 9), (400, 1, 7),
+                                        (600, 2, 4), (600, 3, 3), (600, 5, 2 ** 31 - 1),
+                                        (600, 4, 2 ** 20)])
+def test_row_order_is_lexsort(n, c, high):
+    # small ranges repeat rows; 2**31 - 1 and 2**20 force the dense-rank step
+    rows = np.random.default_rng([n, c]).integers(0, high, (n, c)).astype(np.int32)
+    rows = np.concatenate([rows, rows[::3]]) if n > 1 else rows
+    order, new = delaunay._row_order(rows)
+    ref = np.lexsort(rows.T[::-1])
+    assert np.array_equal(order, ref)
+    s = rows[ref]
+    assert np.array_equal(new, np.r_[True, np.any(s[1:] != s[:-1], axis=1)][:len(rows)])
 
 
 def test_face_keys_limit_checked_before_qhull(monkeypatch):

@@ -1,17 +1,22 @@
 import itertools
+import warnings
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from voroscape import geometry
 from voroscape.errors import DegenerateInputError, UnboundedCellError
 from voroscape.geometry import (Frame, PolytopeCell, Simplex, affine_basis,
-                                circumsphere, frame_projection_volume,
-                                orthonormalize, polygon_area,
-                                polygon_disk_area, polygon_disk_areas,
-                                polytope_volume, simplex_volume)
+                                circumcenters, circumsphere,
+                                frame_projection_volume, orthonormalize,
+                                polygon_area, polygon_disk_area,
+                                polygon_disk_areas, polytope_volume,
+                                simplex_volume, simplex_volumes)
 from voroscape.moments import sample_stiefel
 
 
@@ -99,6 +104,188 @@ def test_circumsphere_equidistance_random():
         b = affine_basis(v).rows
         rel = c - v[0]
         assert np.linalg.norm(rel - (rel @ b.T) @ b) < 1e-8
+
+
+# ---------------- batched Gram-Schmidt kernel ----------------
+
+KD = [(k, d) for d in range(1, 5) for k in range(d + 1)]
+THIN = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-6, 0.0]])
+
+
+def test_thin_triangle_keeps_its_digits():
+    # the Gram determinant gave 4.99994e-7 and a center y of -125002.77
+    assert simplex_volumes(THIN[None])[0] == pytest.approx(5e-7, rel=1e-12)
+    center = circumcenters(THIN[None])[0]
+    assert center[1] == pytest.approx(-124999.9999995, rel=1e-9)
+    assert center[0] == pytest.approx(0.5, rel=1e-12) and center[2] == 0.0
+
+
+def exact_gram(v):
+    """Exact edge rows and their Gram matrix of a float simplex, as Fractions."""
+    rows = [[Fraction(x) - Fraction(y) for x, y in zip(vi, v[0])] for vi in v[1:]]
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    return rows, gram
+
+
+def exact_solve(a, b):
+    # Gauss-Jordan elimination over the rationals
+    n = len(b)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [m[r][n] / m[r][r] for r in range(n)]
+
+
+def exact_det(a):
+    n, det, m = len(a), Fraction(1), [row[:] for row in a]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@pytest.mark.parametrize("k, d", KD)
+def test_kernel_matches_exact_fractions(k, d):
+    # floats are dyadic rationals, so the Gram system has an exact answer:
+    # volume^2 = det(E E^T) / k!^2 and center v0 + E^T a with E E^T a = |e|^2/2
+    rng = np.random.default_rng([k, d])
+    v = rng.standard_normal((12, k + 1, d))
+    vols, centers = simplex_volumes(v), circumcenters(v)
+    for s in range(len(v)):
+        rows, gram = exact_gram(v[s])
+        vol = float(exact_det(gram) / factorial(k) ** 2) ** 0.5 if k else 1.0
+        assert vols[s] == pytest.approx(vol, rel=1e-12)
+        a = exact_solve(gram, [g[i] / 2 for i, g in enumerate(gram)]) if k else []
+        ref = [Fraction(v[s][0][j]) + sum(ai * r[j] for ai, r in zip(a, rows))
+               for j in range(d)]
+        scale = max(1.0, max(abs(float(x)) for x in ref))
+        assert np.max(np.abs(centers[s] - np.array(ref, dtype=float))) <= 1e-12 * scale
+
+
+def test_kernel_values_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(7)
+    for k, d in KD:
+        v = rng.standard_normal((64, k + 1, d))
+        vols, centers = simplex_volumes(v), circumcenters(v)
+        for s in (0, 17, 63):
+            assert simplex_volumes(v[s:s + 1])[0] == vols[s]
+            assert np.array_equal(circumcenters(v[s:s + 1])[0], centers[s])
+        assert np.array_equal(simplex_volumes(v[::-1]), vols[::-1])
+
+
+def test_kernel_directions_stay_orthonormal_on_thin_simplices():
+    # the last vertex sits 1e-8 off the others' affine hull; one Gram-Schmidt
+    # pass would leave its direction about 1e-8 off orthogonal
+    rng = np.random.default_rng(11)
+    for k, d in KD:
+        if k < 2:
+            continue
+        v = rng.standard_normal((50, k + 1, d))
+        v[:, -1] = v[:, :-1].mean(axis=1) + 1e-8 * rng.standard_normal((50, d))
+        q, low = geometry._gram_schmidt(geometry._edges(v))
+        assert np.all(low[k - 1, k - 1] > 0.0)
+        gram = np.einsum("idm,jdm->mij", q, q)
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-13
+
+
+FLAT = [
+    [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+    [[1.0, 1.0], [2.0, 2.0], [4.0, 4.0]],
+    [[0.1, 0.7], [0.3, 2.1], [0.7, 4.9]],
+    [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+    [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0]],
+    [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 1.0], [2.0, 0.0, 1.0, 1.0],
+     [3.0, 2.0, 1.0, 2.0]],
+]
+
+
+@pytest.mark.parametrize("v", FLAT)
+def test_flat_simplex_has_zero_volume_without_warnings(v):
+    # alone, and first in a batch with a random simplex of the same shape
+    v = np.array(v)[None]
+    batch = np.concatenate([v, np.random.default_rng(0).standard_normal(v.shape)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert simplex_volumes(v)[0] == 0.0
+        vols = simplex_volumes(batch)
+    assert vols[0] == 0.0 and vols[1] > 0.0
+
+
+@pytest.mark.parametrize("v", [
+    [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+    [[0.5, 0.5], [1.0, 2.0], [0.5, 0.5]],
+    [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]],
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [5.0, 10.0, 15.0]],
+    [[0.3, 0.1], [0.3, 0.1]],
+])
+def test_flat_simplex_has_no_circumcenter(v):
+    v = np.array(v)[None]
+    batch = np.concatenate([np.random.default_rng(0).standard_normal(v.shape), v])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="flat simplex"):
+            circumcenters(batch)
+
+
+def well_shaped(k, d, seed):
+    """A random k-simplex in R^d whose edge rows have condition number
+    below 20, or None."""
+    v = np.random.default_rng(seed).standard_normal((k + 1, d))
+    if k:
+        sv = np.linalg.svd(v[1:] - v[0], compute_uv=False)
+        if sv[-1] * 20.0 < sv[0]:
+            return None
+    return v
+
+
+# A translation by t rounds each coordinate by up to eps |t| (2.2e-10 at
+# |t| = 1e6), which an edge condition below 20 magnifies at most about
+# 100-fold against unit-size edges; scaling and rotation add only a few
+# roundings per coordinate.
+TRANSLATE_TOL = 1e-6
+MOTION_TOL = 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KD), st.integers(0, 2 ** 32 - 1),
+       st.floats(-6.0, 6.0), st.floats(-3.0, 3.0))
+def test_kernel_equivariant_under_similarity(kd, seed, log_shift, log_scale):
+    k, d = kd
+    v = well_shaped(k, d, seed)
+    assume(v is not None)
+    rng = np.random.default_rng([seed, 1])
+    vol, center = simplex_volumes(v[None])[0], circumcenters(v[None])[0]
+    radius = float(np.linalg.norm(center - v[0]))
+    size = max(1.0, float(np.max(np.abs(center))), radius)
+
+    t = rng.standard_normal(d)
+    t *= 10.0 ** log_shift / np.linalg.norm(t)
+    assert simplex_volumes((v + t)[None])[0] == pytest.approx(vol, rel=TRANSLATE_TOL)
+    moved = circumcenters((v + t)[None])[0] - t
+    assert np.max(np.abs(moved - center)) <= TRANSLATE_TOL * size
+
+    s = 10.0 ** log_scale
+    assert simplex_volumes((s * v)[None])[0] == pytest.approx(s ** k * vol, rel=MOTION_TOL)
+    scaled = circumcenters((s * v)[None])[0] / s
+    assert np.max(np.abs(scaled - center)) <= MOTION_TOL * size
+
+    q = rand_rotation(d, rng)
+    assert simplex_volumes((v @ q.T)[None])[0] == pytest.approx(vol, rel=MOTION_TOL)
+    turned = circumcenters((v @ q.T)[None])[0] @ q
+    assert np.max(np.abs(turned - center)) <= MOTION_TOL * size
 
 
 # ---------------- frame projection volume ----------------

@@ -169,10 +169,15 @@ def test_singular_power_solve_is_degenerate(monkeypatch):
     probe = flat_patch_probe(sample_stiefel(2, 3, np.random.default_rng(9)),
                              np.full(3, 0.5), "box", [0.15, 0.15])
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    gram_schmidt = geometry._gram_schmidt
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    def one_flat_cell(e):
+        # the first weighted top gets a zero height, as a flat cell would
+        q, low = gram_schmidt(e)
+        low[-1, -1, 0] = 0.0
+        return q, low
+
+    monkeypatch.setattr(geometry, "_gram_schmidt", one_flat_cell)
     with pytest.raises(DegenerateInputError, match="power diagram"):
         voronoi_scape_flat(m, probe)
 
