@@ -1,10 +1,11 @@
-"""Walking a segment through a planar Delaunay mosaic.
+"""The Voronoi path of a segment through a planar Delaunay mosaic.
 
 Drops a Poisson point set in the unit square, builds its Delaunay mosaic,
-and walks a probe segment through the Voronoi tessellation. Every Voronoi
-wall the segment crosses contributes the dual Delaunay edge, counted with
-crossing multiplicity. The total length of those edges over the probe
-length is the distortion; averaged over random probes it approaches 4/pi.
+and reads the Voronoi path of a probe segment: the power diagram of the
+sites on the segment's line marks every Voronoi wall the segment crosses,
+and each contributes the dual Delaunay edge, counted with crossing
+multiplicity. The total length of those edges over the probe length is
+the distortion; averaged over random probes it approaches 4/pi.
 """
 
 from math import pi
@@ -33,7 +34,7 @@ if len(s.entries) > 6:
 print(f"path length {s.total_volume:.4f}, "
       f"distortion {distortion(s, probe):.4f}")
 
-print("\nsame walk from the opposite end gives the same multiset:")
+print("\nthe same segment from the opposite end gives the same multiset:")
 back = voronoi_path(m, segment_probe([0.75, 0.6], [0.25, 0.3]))
 print(f"  forward == backward: {s.edge_multiset() == back.edge_multiset()}")
 

@@ -242,10 +242,38 @@ class FaceLattice(Mapping):
         return self._levels[k]
 
 
-class _SiteHull(NamedTuple):
+class SiteHull(NamedTuple):
     facets: np.ndarray      # (f, d) sorted site indices per hull facet
     normals: np.ndarray     # (f, d) outward unit normals
-    offsets: np.ndarray     # (f,) normals @ x + offsets <= 0 inside
+    offsets: np.ndarray     # (f,) normals @ (x - center) + offsets <= 0 inside
+    center: np.ndarray      # (d,) centroid of the sites
+
+    def excess(self, x) -> np.ndarray:
+        """Signed distances of x (one point or a stack) beyond the facet
+        planes, positive outside."""
+        return (np.asarray(x, dtype=float) - self.center) @ self.normals.T + self.offsets
+
+    def contains(self, x, tol=1e-12):
+        """True where x lies inside the hull, per point for a stack."""
+        return np.all(self.excess(x) <= tol, axis=-1)
+
+
+def site_hull(sites) -> SiteHull:
+    """Convex hull of an (n, d) site array, one Qhull call on the sites
+    centered on their centroid: raw coordinates far from the origin round
+    the facet planes off until the hull misses some of its own sites."""
+    pts = np.asarray(sites, dtype=float)
+    center = pts.mean(axis=0)
+    rel = pts - center
+    d = pts.shape[1]
+    if d == 1:
+        # Qhull takes no 1-D input; the hull of a line is its two end sites
+        ends = np.array([rel.argmin(), rel.argmax()], dtype=np.int32)
+        return SiteHull(ends[:, None], np.array([[-1.0], [1.0]]),
+                        np.array([rel[ends[0], 0], -rel[ends[1], 0]]), center)
+    hull = ConvexHull(rel)
+    return SiteHull(np.sort(hull.simplices, axis=1).astype(np.int32),
+                    hull.equations[:, :d], hull.equations[:, d], center)
 
 
 class Mosaic:
@@ -255,8 +283,8 @@ class Mosaic:
     site indices in lexicographic row order, built on its first read, and
     cells.cofaces(k) maps each k-cell to the indices of the top cells
     containing it. Top circumcenters and radii, and the site hull (a second
-    Qhull call, read only by contains and voronoi_dual), are computed on
-    first read.
+    Qhull call, read only by contains, hull_excess and voronoi_dual), are
+    computed on first read.
     """
 
     def __init__(self, sites, tops):
@@ -383,16 +411,8 @@ class Mosaic:
     # -- site hull, computed on its first read -----------------------------
 
     @cached_property
-    def _site_hull(self) -> _SiteHull:
-        pts = self.sites
-        if self.d == 1:
-            # Qhull takes no 1-D input; the hull of a line is its two end sites
-            ends = np.array([pts.argmin(), pts.argmax()], dtype=np.int32)
-            return _SiteHull(ends[:, None], np.array([[-1.0], [1.0]]),
-                             np.array([pts[ends[0], 0], -pts[ends[1], 0]]))
-        hull = ConvexHull(pts)
-        return _SiteHull(np.sort(hull.simplices, axis=1).astype(np.int32),
-                         hull.equations[:, :self.d], hull.equations[:, self.d])
+    def _site_hull(self) -> SiteHull:
+        return site_hull(self.sites)
 
     @property
     def hull_facets(self) -> np.ndarray:
@@ -404,15 +424,14 @@ class Mosaic:
         """Outward unit normals of the site hull facets."""
         return self._site_hull.normals
 
-    @property
-    def hull_offsets(self) -> np.ndarray:
-        """Offsets b of the facet planes normal . x + b = 0."""
-        return self._site_hull.offsets
+    def hull_excess(self, x) -> np.ndarray:
+        """Signed distances of x beyond the site hull's facet planes,
+        positive outside (SiteHull.excess)."""
+        return self._site_hull.excess(x)
 
     def contains(self, x, tol=1e-12) -> bool:
         """True when x lies inside the convex hull of the sites."""
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.hull_normals @ x + self.hull_offsets <= tol))
+        return bool(self._site_hull.contains(x, tol))
 
 
 def build_mosaic(points, d=None) -> Mosaic:

@@ -198,8 +198,7 @@ def _read_tops(m: Mosaic, p: int, R: float, center, summed) -> np.ndarray | None
     if p < m.d:
         cut = np.any(m.boundary_mask(p)[summed])
     else:
-        cut = np.any(m.hull_normals @ center + m.hull_offsets
-                     > -R * (1.0 + EMPTY_SPHERE_TOL))
+        cut = np.any(m.hull_excess(center) > -R * (1.0 + EMPTY_SPHERE_TOL))
     if cut:
         return None
     indptr, tops = m.cells.cofaces(p)

@@ -1,15 +1,15 @@
-"""Voronoi paths of polylines and Voronoi scapes of flat patches.
+"""Voronoi paths of polylines and Voronoi scapes of flat patches, read from
+the sites alone.
 
-A path walks a segment through the Voronoi tessellation of a Delaunay
-mosaic and collects the Delaunay edge dual to every crossed Voronoi facet.
-A flat-patch scape reads only the sites: the Voronoi tessellation restricted
-to a p-flat is the power diagram of the projected sites with weights equal
-to minus the squared projection offsets (Aurenhammer 1987), so the patch's
-scape is read off the weighted Delaunay triangulation built by the same
-lifting machinery, with no ambient mosaic. A nearest-site witness at every
-power-diagram vertex checks that its p + 1 sites span a Delaunay p-cell.
-Either way the cells arrive as sorted index rows, and a scape measures all
-of them with one batched simplex_volumes call.
+The Voronoi tessellation restricted to a p-flat is the power diagram of the
+projected sites with weights equal to minus the squared projection offsets
+(Aurenhammer 1987), so a patch's scape is read off the weighted Delaunay
+triangulation built by the same lifting machinery as build_mosaic, with no
+ambient mosaic. A nearest-site witness at every power-diagram vertex checks
+that its p + 1 sites span a Delaunay p-cell. A path is the p = 1 case: each
+segment of a polyline is a 1-flat patch, and the edges of all segments are
+counted together. The cells arrive as sorted index rows, and a scape
+measures all of them with one batched simplex_volumes call.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .delaunay import Mosaic, lower_hull_simplices, nearest_site
+from .delaunay import lower_hull_simplices, site_hull
 from .errors import ConsistencyError, CoverageError, DegenerateInputError
 from .geometry import Frame, simplex_volumes, span_solve
 from .pointproc import unit_ball_volume
 
-CROSS_TOL = 1e-10       # crossing-parameter tolerance in the walk
+CROSS_TOL = 1e-10       # power vertex to segment end, relative to its length
 PERTURB_EPS = 1e-9      # deterministic probe displacement on degenerate hits
 WEIGHT_JITTER = 1e-12   # weight perturbation when the power diagram degenerates
 MAX_REWALKS = 8
@@ -152,80 +152,29 @@ def _make_scape(p: int, sites, rows, mults, perturbed: bool) -> Scape:
     return Scape(p, entries, total, perturbed)
 
 
-def _path_scape(m: Mosaic, counts: Counter, perturbed: bool) -> Scape:
-    """Scape of the walked edges; each must be an edge of the mosaic."""
-    keys = sorted(counts)
-    for key in keys:
-        try:
-            m.cell_index(1, key)
-        except KeyError as exc:
-            raise ConsistencyError(f"1-cell {key} is not a cell of the mosaic") from exc
-    rows = np.array(keys, dtype=np.intp).reshape(len(keys), 2)
-    mults = np.array([counts[key] for key in keys], dtype=np.int64)
-    return _make_scape(1, m.sites, rows, mults, perturbed)
-
-
-def _walk_segment(m: Mosaic, a, b, start_site: int, counts: Counter) -> int:
-    """Walk a->b through the Voronoi tessellation, recording facet crossings.
-
-    Returns the site whose cell contains b. Raises DegenerateInputError when
-    a crossing lands within tolerance of a lower-dimensional Voronoi face,
-    which the caller resolves by perturbing the probe and rewalking.
-    """
-    indptr, nbrs = m.neighbors
-    sites = m.sites
-    sq = np.einsum("ij,ij->i", sites, sites)
-    v = b - a
-    s = start_site
-    t = 0.0
-    for _ in range(len(sites) * 4):
-        cand = nbrs[indptr[s]:indptr[s + 1]]
-        diff = sites[cand] - sites[s]
-        den = diff @ v
-        num = 0.5 * (sq[cand] - sq[s]) - diff @ a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tc = np.where(den > 0.0, num / den, np.inf)
-        tc = np.where(tc > t + CROSS_TOL, tc, np.inf)
-        j = int(np.argmin(tc))
-        tj = float(tc[j])
-        if tj >= 1.0:
-            return s
-        close = np.sum(np.abs(tc - tj) <= CROSS_TOL)
-        if close > 1:
-            raise DegenerateInputError("crossing at a low-dimensional Voronoi face")
-        nxt = int(cand[j])
-        counts[tuple(sorted((s, nxt)))] += 1
-        s, t = nxt, tj
-    raise ConsistencyError("segment walk did not terminate")
-
-
-def _vertex_on_voronoi_face(m: Mosaic, x, s: int) -> bool:
-    # a polyline vertex sits on a Voronoi face when a second site is
-    # equidistant within tolerance of the nearest one
-    indptr, nbrs = m.neighbors
-    cand = nbrs[indptr[s]:indptr[s + 1]]
-    best = np.linalg.norm(m.sites[s] - x)
-    other = np.min(np.linalg.norm(m.sites[cand] - x, axis=1))
-    return bool(other - best <= CROSS_TOL * max(1.0, best))
-
-
-def voronoi_path(m: Mosaic, probe: Probe) -> Scape:
+def voronoi_path(sites, probe: Probe) -> Scape:
     """Voronoi path of a polyline probe.
 
-    Every crossing of a Voronoi (d-1)-cell contributes the dual Delaunay
-    edge, counted once per crossing. Polyline vertices must lie inside the
-    convex hull of the sites; a walk that would leave it raises
-    CoverageError. Hits on lower-dimensional Voronoi faces, and polyline
-    vertices lying on any Voronoi face, are dislodged by a deterministic
-    perturbation of the whole probe and a full rewalk.
+    sites is an (n, d) array or an object with .sites, such as a Mosaic;
+    only the site coordinates are read. Each segment a->b is the 1-flat box
+    patch with frame (b - a)/|b - a|, base the midpoint and extent |b - a|/2:
+    its power-diagram vertices are its crossings of Voronoi (d-1)-cells, and
+    each contributes the dual Delaunay edge, witnessed as in
+    voronoi_scape_flat. An edge counts once per crossing over all segments.
+    Polyline vertices must lie inside the convex hull of the sites, or
+    CoverageError is raised. A power vertex within CROSS_TOL (relative to
+    the segment length) of a segment end puts a polyline vertex on a
+    Voronoi face; it, a witness tie and a flat weighted cell are dislodged
+    by a deterministic perturbation of the whole probe, which sets
+    perturbed.
     """
     if probe.kind != "polyline":
         raise ValueError("voronoi_path expects a polyline probe")
+    sites = _site_array(sites)
     verts = probe.vertices
-    for x in verts:
-        if not m.contains(x):
-            raise CoverageError("probe outside coverage")
-    d = m.d
+    if not np.all(site_hull(sites).contains(verts)):
+        raise CoverageError("probe outside coverage")
+    d = sites.shape[1]
     for attempt in range(MAX_REWALKS):
         shift = np.zeros(d)
         if attempt:
@@ -233,20 +182,34 @@ def voronoi_path(m: Mosaic, probe: Probe) -> Scape:
             # slowly so successive retries are distinct
             raw = np.array([np.sin(7.0 * (i + 1) + attempt) for i in range(d)])
             shift = PERTURB_EPS * attempt * raw / np.linalg.norm(raw)
-        counts = Counter()
+        rows, perturbed = [], attempt > 0
         try:
-            s = nearest_site(m, verts[0] + shift)
-            for i in range(len(verts) - 1):
-                a = verts[i] + shift
-                if _vertex_on_voronoi_face(m, a, s):
-                    raise DegenerateInputError("polyline vertex on a Voronoi face")
-                s = _walk_segment(m, a, verts[i + 1] + shift, s, counts)
-            if _vertex_on_voronoi_face(m, verts[-1] + shift, s):
-                raise DegenerateInputError("polyline vertex on a Voronoi face")
-            return _path_scape(m, counts, attempt > 0)
+            for a, b in zip(verts[:-1] + shift, verts[1:] + shift):
+                seg, jittered = _segment_edges(sites, a, b)
+                rows.append(seg)
+                perturbed |= jittered
         except DegenerateInputError:
             continue
+        rows, mults = np.unique(np.concatenate(rows), axis=0, return_counts=True)
+        return _make_scape(1, sites, rows, mults, perturbed)
     raise DegenerateInputError("probe keeps hitting degenerate Voronoi faces")
+
+
+def _segment_edges(sites, a, b):
+    """Witnessed rows of the Delaunay edges dual to the Voronoi facets that
+    the segment a->b crosses, in lexicographic order, and whether the power
+    weights were jittered."""
+    v = b - a
+    length = float(np.linalg.norm(v))
+    frame = Frame(v[None, :] / length)
+    rel = sites - 0.5 * (a + b)
+    tops, centers, jittered = _power_diagram(rel, frame)
+    t, half = np.abs(centers[:, 0]), 0.5 * length
+    if np.any(np.abs(t - half) <= CROSS_TOL * length):
+        raise DegenerateInputError("polyline vertex on a Voronoi face")
+    inside = t <= half
+    _check_witnesses(rel, centers[inside] @ frame.rows, tops[inside])
+    return tops[inside], jittered
 
 
 @dataclass(frozen=True)
@@ -316,7 +279,23 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     if not (1 <= p <= d - 1):
         raise ValueError("patch dimension must satisfy 1 <= p <= d-1")
     rel = sites - probe.base
-    y = rel @ probe.frame.rows.T
+    rows, centers, perturbed = _power_diagram(rel, probe.frame)
+    if probe.region == "box":
+        inside = np.all(np.abs(centers) <= probe.extent, axis=1)
+    else:
+        inside = np.einsum("ij,ij->i", centers, centers) <= float(probe.extent) ** 2
+    rows = rows[inside]
+    _check_witnesses(rel, centers[inside] @ probe.frame.rows, rows)
+    return _make_scape(p, sites, rows, np.ones(len(rows), dtype=np.int64),
+                       perturbed)
+
+
+def _power_diagram(rel, frame: Frame):
+    """Power diagram induced on the flat spanned by frame through the base
+    point, for sites rel relative to that base: the rows of its vertices
+    (the weighted Delaunay tops, sorted and unique), their orthocenters in
+    flat coordinates, and whether the weights had to be jittered."""
+    y = rel @ frame.rows.T
     lift = np.einsum("ij,ij->i", rel, rel)   # |y|^2 - weight, the power lift
     perturbed = False
     for attempt in range(MAX_REWALKS):
@@ -330,7 +309,7 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     else:
         raise DegenerateInputError("power diagram stays degenerate after jitter")
     if perturbed:
-        warnings.warn("degenerate power diagram, weights jittered", stacklevel=2)
+        warnings.warn("degenerate power diagram, weights jittered", stacklevel=3)
 
     # orthocenters: the power-equidistant points c of the weighted tops,
     # 2 (y_i - y_0) . c = lift_i - lift_0
@@ -340,14 +319,7 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "degenerate power diagram (flat weighted cell)") from exc
-    if probe.region == "box":
-        inside = np.all(np.abs(centers) <= probe.extent, axis=1)
-    else:
-        inside = np.einsum("ij,ij->i", centers, centers) <= float(probe.extent) ** 2
-    rows = wtops[inside]
-    _check_witnesses(rel, centers[inside] @ probe.frame.rows, rows)
-    return _make_scape(p, sites, rows, np.ones(len(rows), dtype=np.int64),
-                       perturbed)
+    return wtops, centers, perturbed
 
 
 def _check_witnesses(rel, points, rows) -> None:

@@ -456,6 +456,16 @@ def test_site_hull_built_on_first_read(monkeypatch):
     assert dims == [3, 2, 2]
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_translated_sites_lie_in_their_hull(d):
+    # far from the origin the raw-coordinate facet planes round off by more
+    # than the containment tolerance; the hull is built on centered sites
+    for seed in range(5):
+        pts = sample(poisson(300), unit_box_window(d), seed) + 1e6
+        m = build_mosaic(pts)
+        assert all(m.contains(x) for x in m.sites)
+
+
 def test_export_schema_and_determinism(tmp_path):
     m, pts = poisson_mosaic(2, 60, 13)
     doc = json.loads(export_mosaic_json(m))

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -241,6 +242,49 @@ def test_back_and_forth_path_matches_per_entry_volumes():
     assert s.total_volume == total
 
 
+def dense_crossings(m, verts, samples=1001):
+    """Delaunay edges crossed along a polyline, each segment read off dense
+    nearest-site sampling: the reference test_walk_matches_dense_nearest_site
+    checks one segment against."""
+    ts = np.linspace(0.0, 1.0, samples)
+    seq = [nearest_site(m, a + t * (b - a))
+           for a, b in zip(verts[:-1], verts[1:]) for t in ts]
+    return Counter((min(u, v), max(u, v)) for u, v in zip(seq, seq[1:]) if u != v)
+
+
+POLYLINES = {
+    "v_shape": [[0.3, 0.35], [0.5, 0.65], [0.7, 0.35]],
+    "back_and_forth": [[0.35, 0.45], [0.65, 0.55], [0.35, 0.45], [0.65, 0.55]],
+    "triangle_loop": [[0.3, 0.3], [0.7, 0.35], [0.5, 0.7], [0.3, 0.3]],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(POLYLINES))
+@pytest.mark.parametrize("d", [2, 3])
+def test_polyline_matches_dense_nearest_site(d, shape):
+    m, pts = poisson_mosaic(d, {2: 300, 3: 600}[d], 30 + d)
+    verts = np.array(POLYLINES[shape])
+    if d == 3:
+        # a lift that depends on x alone keeps a closed loop closed
+        verts = np.column_stack([verts, 0.4 + 0.2 * verts[:, 0]])
+    probe = Probe("polyline", vertices=verts)
+    s = voronoi_path(pts, probe)
+    assert s.edge_multiset() == dense_crossings(m, verts)
+    if shape == "back_and_forth":
+        # three passes over one segment cross each facet three times
+        assert {e.multiplicity for e in s.entries} == {3}
+    assert voronoi_path(m, probe) == s
+
+
+def test_path_reads_no_face_lattice():
+    m, _ = poisson_mosaic(3, 600, 40)
+    probe = Probe("polyline", vertices=np.array(
+        [[0.3, 0.4, 0.5], [0.7, 0.5, 0.4], [0.5, 0.6, 0.6]]))
+    assert voronoi_path(m, probe).entries
+    assert set(m.cells._levels) == {m.d}
+    assert m._neighbors is None
+
+
 # ---------------- witness scape (sites only) ----------------
 
 def mosaic_scape_reference(pts, probe):
@@ -433,6 +477,53 @@ def test_witness_scape_rotation_invariant(instance, rot_seed):
     keys, total = scape_of(pts, probe)
     keys_q, total_q = scape_of(pts @ q.T, moved_probe(
         probe, probe.frame.rows @ q.T, probe.base @ q.T, probe.extent))
+    assert keys_q == keys
+    assert total_q == pytest.approx(total, rel=1e-9)
+
+
+def random_path(d, seed):
+    pts = sample(poisson({2: 300, 3: 600}[d]), unit_box_window(d), seed)
+    rng = np.random.default_rng([seed, 2])
+    return pts, rng.uniform(0.3, 0.7, size=(int(rng.integers(2, 5)), d))
+
+
+def path_of(pts, verts):
+    s = voronoi_path(pts, Probe("polyline", vertices=verts))
+    return [(e.sites, e.multiplicity) for e in s.entries], s.total_volume
+
+
+PATHS = st.tuples(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(PATHS, st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
+def test_path_translation_invariant(instance, offset):
+    pts, verts = random_path(*instance)
+    t = np.array(offset[:instance[0]])
+    keys, total = path_of(pts, verts)
+    keys_t, total_t = path_of(pts + t, verts + t)
+    assert keys_t == keys
+    assert total_t == pytest.approx(total, rel=1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(PATHS, st.floats(-3.0, 3.0))
+def test_path_scaling_equivariant(instance, log_scale):
+    pts, verts = random_path(*instance)
+    c = 10.0 ** log_scale
+    keys, total = path_of(pts, verts)
+    keys_c, total_c = path_of(c * pts, c * verts)
+    assert keys_c == keys
+    assert total_c == pytest.approx(c * total, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(PATHS, st.integers(0, 2 ** 32 - 1))
+def test_path_rotation_invariant(instance, rot_seed):
+    pts, verts = random_path(*instance)
+    q = unit_rotation(instance[0], rot_seed)
+    keys, total = path_of(pts, verts)
+    keys_q, total_q = path_of(pts @ q.T, verts @ q.T)
     assert keys_q == keys
     assert total_q == pytest.approx(total, rel=1e-9)
 
