@@ -33,10 +33,7 @@ from .mixedvol import (MixedCell, MixedSumReport, RegularityReport,
                        regularity_report, tile_measure)
 from .experiments import (ExperimentResult, ExperimentSpec, default_margin,
                           mixedvol_spec, moments_spec, path_spec,
-                          run_constants, run_experiment,
-                          run_mixedvol_experiment, run_moments_experiment,
-                          run_path_experiment, run_scape_experiment,
-                          scape_spec)
+                          run_constants, run_experiment, scape_spec)
 
 __version__ = "0.1.0"
 

@@ -64,12 +64,17 @@ def _add_common(sub, trials_default):
     sub.add_argument("--seed", type=int, default=0, help="base seed")
     sub.add_argument("--trials", type=int, default=trials_default)
     sub.add_argument("--out", default=None, help="output file (default stdout)")
+    _add_format(sub, "json")
+
+
+def _add_format(sub, default):
+    """Exclusive --json and --csv switches; default is the subcommand's."""
     fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
-                     help="JSON report (default)")
-    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
-                     help="per-trial CSV instead of JSON")
-    sub.set_defaults(fmt="json")
+    for name in ("json", "csv"):
+        note = " (default)" if name == default else ""
+        fmt.add_argument(f"--{name}", dest="fmt", action="store_const",
+                         const=name, help=f"{name.upper()} output{note}")
+    sub.set_defaults(fmt=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,11 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sp.add_parser("constants", help="closed-form distortion constant table")
     c.add_argument("--dmax", type=int, default=10)
     c.add_argument("--out", default=None)
-    fmt = c.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
-                     help="CSV table (default)")
-    fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
-    c.set_defaults(fmt="csv")
+    _add_format(c, "csv")
 
     m = sp.add_parser("moments", help="Monte Carlo projection moment vs closed form")
     m.add_argument("--p", type=int, required=True)
@@ -97,10 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--samples", type=int, default=100000)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
-    fmt = m.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
-    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
-    m.set_defaults(fmt="json")
+    _add_format(m, "json")
 
     p = sp.add_parser("path", help="segment distortion experiment")
     p.add_argument("--dim", type=int, default=2, choices=(2, 3, 4))

@@ -80,12 +80,24 @@ class ExperimentSpec:
             raise ValueError("margin must be positive")
         if self.kind == "path" and self.p != 1:
             raise ValueError("path experiments have p=1")
-        if self.kind in ("path", "scape_flat") and self.probe_size <= 0.0:
-            raise ValueError("probe size must be positive")
-        if self.kind == "mixedvol" and self.R is None:
-            raise ValueError("mixedvol experiments need a summation radius")
-        if self.kind == "moments" and (self.j is None or self.samples is None):
-            raise ValueError("moment experiments need j and a sample count")
+        if self.kind in ("path", "scape_flat"):
+            if self.probe_size <= 0.0:
+                raise ValueError("probe size must be positive")
+            if self.d not in (2, 3, 4):
+                raise ValueError("path and scape experiments cover d in {2, 3, 4}")
+        if self.kind == "scape_flat" and not 1 <= self.p <= self.d - 1:
+            raise ValueError("flat scape experiments need 1 <= p < d")
+        if self.kind == "mixedvol":
+            if self.R is None:
+                raise ValueError("mixedvol experiments need a summation radius")
+            if self.p in (0, self.d) and self.d != 2:
+                raise ValueError("partition sums (p = 0 or p = d) are "
+                                 "implemented for d = 2")
+        if self.kind == "moments":
+            if self.j is None or self.samples is None:
+                raise ValueError("moment experiments need j and a sample count")
+            if self.j > 2:
+                raise ValueError("no closed form implemented for j > 2")
 
     def resolved_margin(self) -> float:
         if self.margin is not None:
@@ -133,15 +145,14 @@ class ExperimentResult:
         }
 
 
-def _aggregate(spec, values, predicted, metadata, elapsed):
+def _aggregate(spec, values, predicted, metadata, elapsed, stderr=None, z=None):
+    """Result of the trial values; stderr and z come from the values unless
+    the caller passes its estimator's own."""
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
-    if len(values) >= 2:
+    if stderr is None and len(values) >= 2:
         stderr = float(values.std(ddof=1) / np.sqrt(len(values)))
         z = (mean - predicted) / stderr if stderr > 0 else float("inf")
-    else:
-        stderr = None
-        z = None
     metadata = dict(metadata)
     metadata.setdefault("trial_seeds", [[spec.seed, t] for t in range(spec.trials)])
     metadata["elapsed_s"] = round(elapsed, 3)
@@ -242,73 +253,39 @@ def _run_trials(spec: ExperimentSpec) -> list[dict]:
     return out
 
 
-def run_path_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    if spec.kind != "path":
-        raise ValueError("spec kind must be 'path'")
-    if spec.d not in (2, 3, 4):
-        raise ValueError("path experiments cover d in {2, 3, 4}")
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Run a spec's trials and aggregate them; each kind adds only its
+    prediction and its own metadata."""
     t0 = time.perf_counter()
+    if spec.kind == "moments":
+        query = MomentQuery(spec.p, spec.d, spec.j)
+        est = moment_monte_carlo(query, spec.samples, seed=[spec.seed, 0])
+        predicted = moment_closed_form(query)
+        # single estimate, one trial key: the estimator's own stderr stands
+        # in for the across-trial one, and the z-score is computed from it
+        if est.stderr > 0:
+            z = (est.mean - predicted) / est.stderr
+        else:
+            z = 0.0 if est.mean == predicted else None
+        meta = {"margin": None, "samples": spec.samples,
+                "trial_seeds": [[spec.seed, 0]]}
+        return _aggregate(spec, [est.mean], predicted, meta,
+                          time.perf_counter() - t0, est.stderr, z)
     rows = _run_trials(spec)
-    predicted = distortion_constant(1, spec.d)
-    meta = {"margin": spec.resolved_margin(),
-            "placement": "haar rotation + uniform translation in core window"}
-    return _aggregate(spec, [r["value"] for r in rows], predicted, meta,
-                      time.perf_counter() - t0)
-
-
-def run_scape_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    if spec.kind != "scape_flat":
-        raise ValueError("spec kind must be 'scape_flat'")
-    if spec.d not in (2, 3, 4) or not 1 <= spec.p <= spec.d - 1:
-        raise ValueError("flat scape experiments cover d in {2, 3, 4}, 1 <= p < d")
-    t0 = time.perf_counter()
-    rows = _run_trials(spec)
-    predicted = distortion_constant(spec.p, spec.d)
-    meta = {"margin": spec.resolved_margin(),
-            "placement": "haar rotation + uniform translation in core window"}
-    return _aggregate(spec, [r["value"] for r in rows], predicted, meta,
-                      time.perf_counter() - t0)
-
-
-def run_mixedvol_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    if spec.kind != "mixedvol":
-        raise ValueError("spec kind must be 'mixedvol'")
-    t0 = time.perf_counter()
-    rows = _run_trials(spec)
-    meta = {
-        "margin": None,
-        "boundary_shares": [r["boundary_share"] for r in rows],
-        "mean_boundary_share": float(np.mean([r["boundary_share"] for r in rows])),
-        "n_cells": [r["n_cells"] for r in rows],
-        "n_boundary": [r["n_boundary"] for r in rows],
-        "ratio_gate": PARTITION_GATE if spec.p in (0, spec.d) else RATIO_GATE,
-    }
-    return _aggregate(spec, [r["value"] for r in rows], 1.0, meta,
-                      time.perf_counter() - t0)
-
-
-def run_moments_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """One Monte Carlo estimate; stderr comes from the per-sample variance."""
-    if spec.kind != "moments":
-        raise ValueError("spec kind must be 'moments'")
-    if spec.j > 2:
-        raise ValueError("no closed form implemented for j > 2")
-    t0 = time.perf_counter()
-    query = MomentQuery(spec.p, spec.d, spec.j)
-    est = moment_monte_carlo(query, spec.samples, seed=[spec.seed, 0])
-    predicted = moment_closed_form(query)
-    # single estimate: the estimator's own stderr stands in for the
-    # across-trial one, and the z-score is computed from it
-    if est.stderr > 0:
-        z = (est.mean - predicted) / est.stderr
+    if spec.kind == "mixedvol":
+        predicted = 1.0
+        shares = [r["boundary_share"] for r in rows]
+        meta = {"margin": None, "boundary_shares": shares,
+                "mean_boundary_share": float(np.mean(shares)),
+                "n_cells": [r["n_cells"] for r in rows],
+                "n_boundary": [r["n_boundary"] for r in rows],
+                "ratio_gate": PARTITION_GATE if spec.p in (0, spec.d) else RATIO_GATE}
     else:
-        z = 0.0 if est.mean == predicted else None
-    meta = {"margin": None, "samples": spec.samples,
-            "trial_seeds": [[spec.seed, 0]],
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-            "versions": dict(_versions()), "z_gate": Z_GATE}
-    return ExperimentResult(spec, np.array([est.mean]), est.mean,
-                            est.stderr, predicted, z, meta)
+        predicted = distortion_constant(spec.p, spec.d)
+        meta = {"margin": spec.resolved_margin(),
+                "placement": "haar rotation + uniform translation in core window"}
+    return _aggregate(spec, [r["value"] for r in rows], predicted, meta,
+                      time.perf_counter() - t0)
 
 
 def run_constants(d_max: int) -> list[dict]:
@@ -364,11 +341,3 @@ def moments_spec(d, p, j, samples, seed=0):
 
 def expected_interior_sites(rho, d, R) -> float:
     return rho * unit_ball_volume(d) * R ** d
-
-
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    runner = {"path": run_path_experiment,
-              "scape_flat": run_scape_experiment,
-              "mixedvol": run_mixedvol_experiment,
-              "moments": run_moments_experiment}[spec.kind]
-    return runner(spec)

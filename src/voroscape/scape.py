@@ -87,15 +87,6 @@ class Probe:
         r = float(self.extent)
         return unit_ball_volume(self.p) * r ** self.p
 
-    def bounding_radius(self) -> float:
-        """Radius of the probe around its placement center, any orientation."""
-        if self.kind == "polyline":
-            c = self.vertices.mean(axis=0)
-            return float(np.max(np.linalg.norm(self.vertices - c, axis=1)))
-        if self.region == "box":
-            return float(np.linalg.norm(self.extent))
-        return float(self.extent)
-
 
 def segment_probe(a, b) -> Probe:
     return Probe("polyline", vertices=np.vstack([a, b]))

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from voroscape import experiments
-from voroscape.cli import main
+from voroscape.cli import build_parser, main
 from voroscape.errors import (ConsistencyError, CoverageError,
                               DegenerateInputError, UnboundedCellError)
 from voroscape.experiments import (WORKERS_ENV, ExperimentSpec, default_margin,
                                    expected_interior_sites, mixedvol_spec,
                                    moments_spec, path_spec, run_constants,
                                    run_experiment, scape_spec, worker_count)
+from voroscape.moments import MomentQuery, moment_monte_carlo
 from voroscape.pointproc import Window, explicit, poisson, unit_box_window
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +49,33 @@ def test_spec_validation():
         ExperimentSpec("mixedvol", 2, 1, poisson(100), w, 5)
     with pytest.raises(ValueError):
         ExperimentSpec("warp", 2, 1, poisson(100), w, 5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path_spec(5, 1000, 0.3, 1),
+    lambda: path_spec(1, 1000, 0.3, 1),
+    lambda: scape_spec(5, 2, 1000, 0.3, 1),
+    lambda: scape_spec(3, 0, 1000, 0.3, 1),
+    lambda: scape_spec(3, 3, 1000, 0.3, 1),
+    lambda: moments_spec(3, 1, 3, 1000),
+    lambda: mixedvol_spec(3, 0, 3000, 0.3, 0.5, 1, seed=1),
+    lambda: mixedvol_spec(3, 3, 3000, 0.3, 0.5, 1, seed=1),
+], ids=["path_d5", "path_d1", "scape_d5", "scape_p0", "scape_pd", "moments_j3",
+        "mixedvol_3d_p0", "mixedvol_3d_pd"])
+def test_unsupported_specs_fail_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("spec", [
+    path_spec(4, 1000, 0.3, 1), scape_spec(4, 3, 1000, 0.3, 1),
+    mixedvol_spec(2, 0, 3000, 0.3, 0.5, 1), mixedvol_spec(2, 2, 3000, 0.3, 0.5, 1),
+    mixedvol_spec(3, 1, 3000, 0.3, 0.5, 1), moments_spec(3, 0, 2, 1000),
+], ids=["path", "scape_flat", "mixedvol_p0", "mixedvol_pd", "mixedvol_3d",
+        "moments"])
+def test_valid_specs_rebuild_with_more_trials(spec):
+    # pooling single-trial results rebuilds their spec with the pooled count
+    assert replace(spec, trials=250).trials == 250
 
 
 def test_specs_compare_and_hash_by_value():
@@ -211,6 +239,51 @@ def test_mixedvol_partition_gate():
     assert res.gate_passed()
 
 
+PAYLOAD_KEYS = ["kind", "d", "p", "trials", "seed", "margin", "process",
+                "window", "probe_size", "R", "j", "samples", "values", "mean",
+                "stderr", "predicted", "z", "gate_passed", "metadata"]
+_META_TAIL = ["trial_seeds", "elapsed_s", "versions", "z_gate"]
+METADATA_KEYS = {
+    "path": ["margin", "placement"] + _META_TAIL,
+    "scape_flat": ["margin", "placement"] + _META_TAIL,
+    "mixedvol": ["margin", "boundary_shares", "mean_boundary_share", "n_cells",
+                 "n_boundary", "ratio_gate"] + _META_TAIL,
+    "moments": ["margin", "samples"] + _META_TAIL,
+}
+
+
+@pytest.mark.parametrize("spec", [
+    path_spec(3, 1000, 0.3, 2, seed=3),
+    scape_spec(3, 2, 2000, 0.3, 2, seed=3),
+    mixedvol_spec(2, 1, 3000, 0.3, 0.5, 2, seed=3),
+    mixedvol_spec(2, 0, 3000, 0.3, 0.5, 1, seed=3),
+    moments_spec(4, 2, 1, 2000, seed=3),
+    moments_spec(3, 0, 2, 100, seed=3),
+], ids=["path", "scape_flat", "mixedvol", "mixedvol_p0", "moments",
+        "moments_p0"])
+def test_result_payload_layout(spec):
+    # the key order of the JSON report and of its metadata is part of the
+    # output format, per experiment kind
+    doc = run_experiment(spec).to_json_dict()
+    assert list(doc) == PAYLOAD_KEYS
+    assert list(doc["metadata"]) == METADATA_KEYS[spec.kind]
+    assert doc["metadata"]["trial_seeds"] == [[3, t] for t in range(spec.trials)]
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_moments_result_is_its_estimate():
+    res = run_experiment(moments_spec(4, 2, 1, 2000, seed=3))
+    est = moment_monte_carlo(MomentQuery(2, 4, 1), 2000, seed=[3, 0])
+    assert res.values.tolist() == [est.mean] and res.mean == est.mean
+    assert res.stderr == est.stderr > 0
+    assert res.z == (est.mean - res.predicted) / est.stderr
+    assert res.metadata["samples"] == 2000
+    # p = 0 and p = d are exact: zero stderr and z = 0
+    for p in (0, 3):
+        res = run_experiment(moments_spec(3, p, 2, 100, seed=3))
+        assert (res.mean, res.stderr, res.z) == (res.predicted, 0.0, 0.0)
+
+
 def test_boundary_share_shrinks_with_R():
     a = run_experiment(mixedvol_spec(2, 1, 20000, 0.20, 0.5, 3, seed=4))
     b = run_experiment(mixedvol_spec(2, 1, 20000, 0.40, 0.5, 3, seed=4))
@@ -255,6 +328,30 @@ def test_cli_constants_json(tmp_path):
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert len(doc) == 6
+
+
+@pytest.mark.parametrize("argv, default", [
+    (["constants"], "csv"),
+    (["moments", "--p", "1", "--dim", "2"], "json"),
+    (["path"], "json"),
+    (["scape"], "json"),
+    (["mixedvol"], "json"),
+])
+def test_cli_format_switches(argv, default):
+    parse = build_parser().parse_args
+    assert parse(argv).fmt == default
+    assert parse(argv + ["--json"]).fmt == "json"
+    assert parse(argv + ["--csv"]).fmt == "csv"
+    with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
+        parse(argv + ["--json", "--csv"])
+
+
+def test_cli_moments_csv():
+    code, out, _ = run_cli("moments", "--p", "1", "--dim", "3", "--samples",
+                           "1000", "--csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["trial", "value"] and len(rows) == 2
 
 
 def test_cli_moments_gate():
