@@ -9,10 +9,9 @@ Carlo experiments.
 
 from .errors import (ConsistencyError, CoverageError, DegenerateInputError,
                      UnboundedCellError)
-from .geometry import (Frame, PolytopeCell, Simplex, affine_basis,
-                       circumsphere, frame_projection_volume, orthonormalize,
-                       polygon_area, polygon_disk_area, polytope_volume,
-                       simplex_volume)
+from .geometry import (Frame, Simplex, affine_basis, circumsphere,
+                       frame_projection_volume, orthonormalize, polygon_area,
+                       polygon_disk_area, simplex_volume)
 from .moments import (MomentEstimate, MomentQuery, distortion_constant,
                       distortion_double_factorial, distortion_exact_string,
                       distortion_table, moment_closed_form,

@@ -282,9 +282,10 @@ class Mosaic:
     cells is the FaceLattice: cells[k] is an (m_k, k+1) int array of sorted
     site indices in lexicographic row order, built on its first read, and
     cells.cofaces(k) maps each k-cell to the indices of the top cells
-    containing it. Top circumcenters and radii, and the site hull (a second
-    Qhull call, read only by contains, hull_excess and voronoi_dual), are
-    computed on first read.
+    containing it; the other vertices of a site's cofaces are the sites it
+    shares a Delaunay edge with. Top circumcenters and radii, and the site
+    hull (a second Qhull call, read only by contains, hull_excess and
+    voronoi_dual), are computed on first read.
     """
 
     def __init__(self, sites, tops):
@@ -295,7 +296,6 @@ class Mosaic:
         self._facets = {}
         self._circumcenters = {}
         self._dual_volumes = {}
-        self._neighbors = None
 
     # -- structure lookups ------------------------------------------------
 
@@ -335,18 +335,6 @@ class Mosaic:
                 mask[self.facets(k + 1)[self.boundary_mask(k + 1)]] = True
             self._boundary_masks[k] = mask
         return self._boundary_masks[k]
-
-    @property
-    def neighbors(self):
-        """CSR site adjacency (indptr, indices) over Delaunay edges."""
-        if self._neighbors is None:
-            edges = self.cells[1]
-            both = np.concatenate([edges, edges[:, ::-1]])
-            both = both[_row_order(both)[0]]
-            n = len(self.sites)
-            indptr = np.searchsorted(both[:, 0], np.arange(n + 1))
-            self._neighbors = (indptr, np.ascontiguousarray(both[:, 1]))
-        return self._neighbors
 
     # -- geometry ----------------------------------------------------------
 
@@ -480,10 +468,9 @@ def voronoi_dual(m: Mosaic, k: int, idx: int) -> DualCell:
     bounded = not bool(m.boundary_mask(k)[idx])
     rays = np.zeros((0, m.d))
     if not bounded:
-        cell = set(m.cells[k][idx].tolist())
-        hits = [i for i, facet in enumerate(m.hull_facets.tolist())
-                if cell.issubset(facet)]
-        rays = m.hull_normals[hits]
+        # the hull facets that hold every vertex of the cell, in facet order
+        held = (m.hull_facets[:, :, None] == m.cells[k][idx]).any(axis=1)
+        rays = m.hull_normals[held.all(axis=1)]
     return DualCell(k, idx, vertices, rays, bounded)
 
 
@@ -513,33 +500,12 @@ def pivot_point(m: Mosaic, k: int, idx: int, dual: DualCell | None = None,
     return z0
 
 
-def nearest_site(m: Mosaic, x, start: int | None = None) -> int:
-    """Index of the site closest to x, ties broken by lowest index.
-
-    Greedy descent through the Delaunay neighbor graph; for a Delaunay
-    triangulation any non-nearest site has a neighbor strictly closer to the
-    query, so the walk reaches the global minimizer.
-    """
-    x = np.asarray(x, dtype=float)
-    indptr, nbrs = m.neighbors
-    s = 0 if start is None else int(start)
-    best = float(np.sum((m.sites[s] - x) ** 2))
-    for _ in range(len(m.sites)):
-        cand = nbrs[indptr[s]:indptr[s + 1]]
-        rel = m.sites[cand] - x
-        dist = np.einsum("ij,ij->i", rel, rel)
-        j = int(np.argmin(dist))
-        # lexicographic (distance, index) improvement gives the stated tie-break
-        if dist[j] < best:
-            s, best = int(cand[j]), float(dist[j])
-            continue
-        ties = cand[dist == best]
-        lower = int(ties.min()) if len(ties) else s
-        if lower < s:
-            s = lower
-            continue
-        return s
-    return s
+def nearest_site(m: Mosaic, x) -> int:
+    """Index of the site closest to x, ties broken by lowest index: the
+    argmin of the squared distances over every site (np.argmin returns the
+    first of equal minima)."""
+    rel = m.sites - np.asarray(x, dtype=float)
+    return int(np.argmin(np.einsum("ij,ij->i", rel, rel)))
 
 
 def validate_empty_sphere(m: Mosaic) -> bool:
@@ -599,14 +565,14 @@ def _voronoi_polygons(m: Mosaic, sites: np.ndarray, far: float):
     return points[order], indptr
 
 
-def _clipped_cell_volume(m: Mosaic, site: int, window: Window) -> float:
-    # Voronoi cell as a halfspace intersection (bisectors plus box faces),
-    # volume via the hull of the intersection vertices
+def _clipped_cell_volume(m: Mosaic, site: int, cand: np.ndarray,
+                         window: Window) -> float:
+    # Voronoi cell as a halfspace intersection (bisectors with the sites cand
+    # it shares a Delaunay edge with, plus box faces), volume via the hull of
+    # the intersection vertices
     from scipy.optimize import linprog
     from scipy.spatial import HalfspaceIntersection
 
-    indptr, nbrs = m.neighbors
-    cand = nbrs[indptr[site]:indptr[site + 1]]
     a = m.sites[site]
     b = m.sites[cand]
     normals = 2.0 * (b - a)
@@ -667,7 +633,9 @@ def clipped_voronoi_volumes(m: Mosaic, window: Window) -> np.ndarray:
                                        window.center, window.extent)
         return out
     for site in clip:
-        out[site] = _clipped_cell_volume(m, int(site), window)
+        # the other vertices of the site's star share a Delaunay edge with it
+        star = np.unique(m.cells[m.d][tops[indptr[site]:indptr[site + 1]]])
+        out[site] = _clipped_cell_volume(m, int(site), star[star != site], window)
     return out
 
 

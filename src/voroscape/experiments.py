@@ -90,6 +90,9 @@ class ExperimentSpec:
         if self.kind == "mixedvol":
             if self.R is None:
                 raise ValueError("mixedvol experiments need a summation radius")
+            if not 0.0 < self.R <= self.window.extent:
+                raise ValueError(f"summation radius {self.R} must lie in "
+                                 f"(0, {self.window.extent}], the window extent")
             if self.p in (0, self.d) and self.d != 2:
                 raise ValueError("partition sums (p = 0 or p = d) are "
                                  "implemented for d = 2")
@@ -98,6 +101,10 @@ class ExperimentSpec:
                 raise ValueError("moment experiments need j and a sample count")
             if self.j > 2:
                 raise ValueError("no closed form implemented for j > 2")
+            if not 0 <= self.p <= self.d:
+                raise ValueError(f"need 0 <= p <= d, got p={self.p}, d={self.d}")
+            if self.samples < 100:
+                raise ValueError("need at least 100 samples")
 
     def resolved_margin(self) -> float:
         if self.margin is not None:

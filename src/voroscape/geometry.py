@@ -1,26 +1,22 @@
 """Linear-algebra and convex-geometry primitives: volumes, circumspheres, frames.
 
 Everything here is pure and operates on plain numpy arrays. The thin wrapper
-classes (Frame, Simplex, PolytopeCell) validate their invariants once at
-construction and are safe to share between threads.
+classes (Frame, Simplex) validate their invariants once at construction and
+are safe to share between threads.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from math import factorial
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateInputError, UnboundedCellError
+from .errors import DegenerateInputError
 
 GRAM_TOL = 1e-10    # degeneracy threshold on normalized Gram determinants
 FRAME_TOL = 1e-10   # orthonormality tolerance
-AFFINE_TOL = 1e-8   # vertex-in-affine-hull tolerance
-RANK_TOL = 1e-12    # rank-deficiency threshold in orthonormalize
 HEIGHT_TOL = 1e-13  # simplex heights, relative to their edge, that are 0
 BATCH = 8192        # simplices per kernel pass, so that its arrays stay in cache
 
@@ -89,33 +85,6 @@ class Simplex:
         # normalize rows so the Gram determinant is scale free in [0, 1]
         g = (e / np.sqrt(scale)[:, None])
         return np.linalg.det(g @ g.T) <= GRAM_TOL
-
-
-@dataclass(frozen=True)
-class PolytopeCell:
-    """Convex cell of intrinsic dimension m given by vertices and a hull basis.
-
-    The basis rows span the directions of the affine hull; `bounded` is False
-    for cells that extend to infinity (their volume is undefined here).
-    """
-
-    vertices: np.ndarray
-    basis: Frame
-    bounded: bool = True
-    rays: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _as_points(self.vertices))
-        if self.vertices.shape[1] != self.basis.d:
-            raise ValueError("vertex dimension does not match basis")
-
-    @property
-    def m(self) -> int:
-        return self.basis.p
-
-    @property
-    def d(self) -> int:
-        return self.basis.d
 
 
 def _edges(v) -> np.ndarray:
@@ -289,56 +258,22 @@ def frame_projection_volume(f: Frame, g: Frame) -> float:
 def orthonormalize(vectors) -> Frame:
     """Orthonormal frame spanning the same subspace as the given vectors.
 
-    Uses a QR factorization with the sign convention that reproduces
-    Gram-Schmidt output exactly, so the result is deterministic in the
-    input order.
+    The rows of _gram_schmidt on the vectors, in their input order: row i
+    is vector i minus its part in the span of the vectors before it,
+    normalized. More vectors than dimensions, or a zero height (a vector
+    whose distance from that span is at most HEIGHT_TOL times its length),
+    raise ValueError("rank deficient").
     """
     v = np.asarray(vectors, dtype=float)
     if v.ndim == 1:
         v = v[None, :]
     p, d = v.shape
-    if p == 0:
-        return Frame(np.zeros((0, d)))
     if p > d:
         raise ValueError("rank deficient")
-    q, r = np.linalg.qr(v.T)
-    diag = np.diag(r)
-    scale = np.max(np.linalg.norm(v, axis=1))
-    if scale == 0.0 or np.min(np.abs(diag)) <= RANK_TOL * scale:
+    q, low = _gram_schmidt(v[:, :, None])
+    if not np.all(low[np.arange(p), np.arange(p)] > 0.0):
         raise ValueError("rank deficient")
-    q = q * np.sign(diag)
-    return Frame(q.T)
-
-
-def _fan_volume(coords) -> float:
-    # m-volume of a convex point cloud in R^m by fanning hull facets from the
-    # centroid; valid because the cells handled here are convex
-    m = coords.shape[1]
-    if m == 1:
-        return float(coords.max() - coords.min())
-    try:
-        hull = ConvexHull(coords)
-    except QhullError as exc:
-        raise DegenerateInputError(f"flat cell in dimension {m}") from exc
-    centroid = np.broadcast_to(coords.mean(axis=0), (len(hull.simplices), 1, m))
-    fan = np.concatenate([centroid, coords[hull.simplices]], axis=1)
-    return float(simplex_volumes(fan).sum())
-
-
-def polytope_volume(cell: PolytopeCell) -> float:
-    """m-dimensional volume of a bounded convex cell inside its affine hull."""
-    if not cell.bounded:
-        raise UnboundedCellError("unbounded")
-    v = cell.vertices
-    if cell.m == 0:
-        return 1.0
-    rel = v - v[0]
-    coords = rel @ cell.basis.rows.T
-    resid = rel - coords @ cell.basis.rows
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if np.max(np.abs(resid)) > AFFINE_TOL * scale:
-        warnings.warn("vertices leave the stated affine hull", stacklevel=2)
-    return _fan_volume(coords)
+    return Frame(q[:, :, 0])
 
 
 def affine_basis(points) -> Frame:

@@ -136,20 +136,21 @@ def distortion_table(d_max: int) -> np.ndarray:
     return table
 
 
-def sample_stiefel(p: int, d: int, rng) -> Frame:
-    """Uniformly random orthonormal p-frame in R^d.
+def _haar_columns(g) -> np.ndarray:
+    # Q of the QR factorization of a Gaussian (d, p) matrix, or of each in a
+    # stack, with the sign of the R diagonal fixed: the standard construction
+    # for the invariant measure
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
-    QR factorization of a Gaussian matrix with the sign of the R diagonal
-    fixed, the standard construction for the invariant measure.
-    """
+
+def sample_stiefel(p: int, d: int, rng) -> Frame:
+    """Uniformly random orthonormal p-frame in R^d (_haar_columns)."""
     if not (0 <= p <= d):
         raise ValueError(f"need 0 <= p <= d, got p={p}, d={d}")
     if p == 0:
         return Frame(np.zeros((0, d)))
-    g = rng.standard_normal((d, p))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return Frame(q.T)
+    return Frame(_haar_columns(rng.standard_normal((d, p))).T)
 
 
 def moment_monte_carlo(q: MomentQuery, samples: int, seed: int) -> MomentEstimate:
@@ -171,10 +172,7 @@ def moment_monte_carlo(q: MomentQuery, samples: int, seed: int) -> MomentEstimat
     done = 0
     while done < samples:
         m = min(batch, samples - done)
-        g = rng.standard_normal((m, d, p))
-        qmat, rmat = np.linalg.qr(g)
-        signs = np.sign(np.einsum("sii->si", rmat))
-        qmat = qmat * signs[:, None, :]
+        qmat = _haar_columns(rng.standard_normal((m, d, p)))
         dets = np.abs(np.linalg.det(qmat[:, :p, :]))
         vals[done:done + m] = dets ** j
         done += m

@@ -98,16 +98,6 @@ def reference_lattice(tops):
     return out
 
 
-def reference_neighbors(edges, n):
-    """CSR site adjacency from sorted Python neighbor lists."""
-    lists = [set() for _ in range(n)]
-    for a, b in edges.tolist():
-        lists[a].add(b)
-        lists[b].add(a)
-    lists = [sorted(x) for x in lists]
-    return np.cumsum([0] + [len(x) for x in lists]), np.array(sum(lists, []))
-
-
 def check_lattice(m):
     d, pts = m.d, m.sites
     ref = reference_lattice(m.cells[d])
@@ -124,9 +114,6 @@ def check_lattice(m):
             assert np.array_equal(m.facets(k), np.array(facets).reshape(-1, k + 1))
         for i, row in enumerate(cells.tolist()):
             assert m.cell_index(k, row) == i
-    indptr, nbrs = reference_neighbors(ref[1][0], len(pts))
-    assert np.array_equal(m.neighbors[0], indptr)
-    assert np.array_equal(m.neighbors[1], nbrs)
     absent = [(len(pts),), (0, 0), (1, 0), (-1, 0), (0,) * (d + 2)]
     for k in (d - 1, d):
         present = set(map(tuple, m.cells[k].tolist()))
@@ -207,7 +194,7 @@ def test_mosaic_freed_without_cycle_collector():
             m.cells[k], m.cells.cofaces(k), m.circumcenters(k)
             if k:
                 m.facets(k)
-        m.neighbors, m.boundary_mask(0), m.dual_volumes(0), m.reach(0)
+        m.boundary_mask(0), m.dual_volumes(0), m.reach(0)
         ref = weakref.ref(m)
         del m
         assert ref() is None
@@ -380,15 +367,6 @@ def test_nearest_site_matches_linear_scan():
         i = nearest_site(m, q)
         j = int(np.argmin(np.linalg.norm(pts - q, axis=1)))
         assert i == j
-
-
-def test_nearest_site_warm_start_irrelevant():
-    m, pts = poisson_mosaic(2, 200, 8)
-    rng = np.random.default_rng(9)
-    for q in rng.uniform(0.2, 0.8, size=(50, 2)):
-        base = nearest_site(m, q)
-        for start in (0, len(pts) // 2, len(pts) - 1):
-            assert nearest_site(m, q, start=start) == base
 
 
 # ---------------- clipped partition ----------------

@@ -60,8 +60,14 @@ def test_spec_validation():
     lambda: moments_spec(3, 1, 3, 1000),
     lambda: mixedvol_spec(3, 0, 3000, 0.3, 0.5, 1, seed=1),
     lambda: mixedvol_spec(3, 3, 3000, 0.3, 0.5, 1, seed=1),
+    lambda: mixedvol_spec(2, 1, 3000, 0.0, 0.5, 1),
+    lambda: mixedvol_spec(2, 1, 3000, -0.1, 0.5, 1),
+    lambda: mixedvol_spec(2, 1, 3000, 0.7, 0.5, 1),
+    lambda: moments_spec(3, 1, 1, 50),
+    lambda: moments_spec(2, 3, 1, 1000),
 ], ids=["path_d5", "path_d1", "scape_d5", "scape_p0", "scape_pd", "moments_j3",
-        "mixedvol_3d_p0", "mixedvol_3d_pd"])
+        "mixedvol_3d_p0", "mixedvol_3d_pd", "mixedvol_R0", "mixedvol_R_negative",
+        "mixedvol_R_beyond_window", "moments_few_samples", "moments_p_above_d"])
 def test_unsupported_specs_fail_at_construction(build):
     with pytest.raises(ValueError):
         build()

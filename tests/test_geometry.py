@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from voroscape import geometry
-from voroscape.errors import DegenerateInputError, UnboundedCellError
-from voroscape.geometry import (Frame, PolytopeCell, Simplex, affine_basis,
-                                circumcenters, circumsphere,
-                                frame_projection_volume, orthonormalize,
-                                polygon_area, polygon_disk_area,
-                                polygon_disk_areas, polytope_volume,
+from voroscape.errors import DegenerateInputError
+from voroscape.geometry import (Frame, Simplex, affine_basis, circumcenters,
+                                circumsphere, frame_projection_volume,
+                                orthonormalize, polygon_area,
+                                polygon_disk_area, polygon_disk_areas,
                                 simplex_volume, simplex_volumes)
 from voroscape.moments import sample_stiefel
 
@@ -341,36 +340,6 @@ def test_cauchy_binet(d, seed):
     assert abs(total - 1.0) < 1e-9
 
 
-# ---------------- polytope volume ----------------
-
-def test_square_in_plane_z1():
-    v = np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)
-    cell = PolytopeCell(v, Frame(np.eye(3)[:2]))
-    assert polytope_volume(cell) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_segment_in_r4():
-    v = np.zeros((2, 4))
-    v[1] = [3.0, 0.0, 4.0, 0.0]
-    cell = PolytopeCell(v, Frame((v[1] / 5.0)[None, :]))
-    assert polytope_volume(cell) == pytest.approx(5.0, rel=1e-12)
-
-
-def test_regular_hexagon():
-    t = np.arange(6) * np.pi / 3.0
-    v = np.column_stack([np.cos(t), np.sin(t)])
-    cell = PolytopeCell(v, Frame(np.eye(2)))
-    assert polytope_volume(cell) == pytest.approx(3 * np.sqrt(3) / 2, rel=1e-12)
-
-
-def test_unbounded_cell_raises():
-    v = np.array([[0.0, 0.0], [1.0, 0.0]])
-    cell = PolytopeCell(v, Frame(np.eye(2)), bounded=False,
-                        rays=np.array([[0.0, 1.0]]))
-    with pytest.raises(UnboundedCellError, match="unbounded"):
-        polytope_volume(cell)
-
-
 # ---------------- orthonormalize ----------------
 
 def test_orthonormalize_axis_scaled():
@@ -403,6 +372,35 @@ def test_orthonormalize_spans_same_subspace():
         # each input vector reconstructs from the frame
         coef = v @ f.rows.T
         assert np.linalg.norm(coef @ f.rows - v) < 1e-9
+
+
+def sign_fixed_qr(v):
+    """Rows of the Householder QR of v^T with the R diagonal made positive,
+    the LAPACK reference for orthonormalize."""
+    q, r = np.linalg.qr(v.T)
+    return (q * np.sign(np.diag(r))).T
+
+
+def test_orthonormalize_matches_sign_fixed_qr():
+    # both are backward stable, so the frames differ by a small multiple of
+    # cond(v) * eps, also on thin inputs whose second row nearly repeats
+    # the first
+    rng = np.random.default_rng(4)
+    cases = []
+    for _ in range(200):
+        d = int(rng.integers(1, 7))
+        cases.append(rng.standard_normal((int(rng.integers(1, d + 1)), d)))
+    for t in (1e-3, 1e-6, 1e-9):
+        for d in range(2, 7):
+            v = rng.standard_normal((2, d))
+            v[1] = v[0] + t * rng.standard_normal(d)
+            cases.append(v)
+    for v in cases:
+        err = np.max(np.abs(orthonormalize(v).rows - sign_fixed_qr(v)))
+        assert err <= 1e-13 * np.linalg.cond(v)
+    for v in (np.zeros((1, 3)), np.ones((4, 3))):
+        with pytest.raises(ValueError, match="rank deficient"):
+            orthonormalize(v)
 
 
 # ---------------- polygon helpers ----------------

@@ -282,7 +282,6 @@ def test_path_reads_no_face_lattice():
         [[0.3, 0.4, 0.5], [0.7, 0.5, 0.4], [0.5, 0.6, 0.6]]))
     assert voronoi_path(m, probe).entries
     assert set(m.cells._levels) == {m.d}
-    assert m._neighbors is None
 
 
 # ---------------- witness scape (sites only) ----------------
