@@ -97,10 +97,15 @@ def lower_hull_simplices(lifted, tol=LIFT_TOL):
 
     Shared by the unweighted construction here and the weighted (power)
     construction in the scape module; the two differ only in the lift height.
-    Rows come back sorted and deduplicated in lexicographic order.
+    Rows come back sorted and deduplicated in lexicographic order. Fewer
+    points than columns cannot span the space below the lift, and raise
+    DegenerateInputError naming their count.
     """
     lifted = np.asarray(lifted, dtype=float)
     n, dim1 = lifted.shape
+    if n < dim1:
+        raise DegenerateInputError(
+            f"degenerate configuration ({n} points cannot span R^{dim1 - 1})")
     if n == dim1:
         # exactly one simplex; its lifted hull is flat, so skip Qhull
         if Simplex(lifted[:, :-1]).degenerate:
@@ -135,6 +140,11 @@ class DualCell:
 
     def direction_basis(self) -> Frame:
         """Orthonormal basis of the direction space of the dual's affine hull."""
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> Frame:
+        # one affine_basis SVD per dual, shared by dim and pivot_point
         pts = self.vertices
         rows = [pts[1:] - pts[0]] if len(pts) > 1 else []
         if len(self.rays):

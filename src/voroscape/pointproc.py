@@ -7,6 +7,7 @@ that parallel trials reproduce bitwise regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -69,8 +70,12 @@ class Window(_ByValue):
         return np.einsum("ij,ij->i", rel, rel) <= (self.extent - shrink) ** 2
 
 
+@cache
 def unit_box_window(d: int) -> Window:
-    return Window("box", np.full(d, 0.5), 0.5)
+    """The box [0, 1]^d, one shared Window per d; its center is read-only."""
+    w = Window("box", np.full(d, 0.5), 0.5)
+    w.center.flags.writeable = False
+    return w
 
 
 def window_volume(w: Window) -> float:

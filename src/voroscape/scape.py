@@ -5,11 +5,14 @@ The Voronoi tessellation restricted to a p-flat is the power diagram of the
 projected sites with weights equal to minus the squared projection offsets
 (Aurenhammer 1987), so a patch's scape is read off the weighted Delaunay
 triangulation built by the same lifting machinery as build_mosaic, with no
-ambient mosaic. A nearest-site witness at every power-diagram vertex checks
-that its p + 1 sites span a Delaunay p-cell. A path is the p = 1 case: each
-segment of a polyline is a 1-flat patch, and the edges of all segments are
-counted together. The cells arrive as sorted index rows, and a scape
-measures all of them with one batched simplex_volumes call.
+ambient mosaic. Only the sites that can be nearest somewhere on the patch's
+bounding box are lifted, picked by an exact bound on their power distances
+over the box. A nearest-site witness over every site checks at every
+power-diagram vertex that its p + 1 sites span a Delaunay p-cell, so it
+needs no trust in that pick. A path is the p = 1 case: each segment of a
+polyline is a 1-flat patch, and the edges of all segments are counted
+together. The cells arrive as sorted index rows, and a scape measures all
+of them with one batched simplex_volumes call.
 """
 
 from __future__ import annotations
@@ -194,8 +197,9 @@ def _segment_edges(sites, a, b):
     length = float(np.linalg.norm(v))
     frame = Frame(v[None, :] / length)
     rel = sites - 0.5 * (a + b)
-    tops, centers, jittered = _power_diagram(rel, frame)
-    t, half = np.abs(centers[:, 0]), 0.5 * length
+    half = 0.5 * length
+    tops, centers, jittered = _power_diagram(rel, frame, np.array([half]))
+    t = np.abs(centers[:, 0])
     if np.any(np.abs(t - half) <= CROSS_TOL * length):
         raise DegenerateInputError("polyline vertex on a Voronoi face")
     inside = t <= half
@@ -270,7 +274,9 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     if not (1 <= p <= d - 1):
         raise ValueError("patch dimension must satisfy 1 <= p <= d-1")
     rel = sites - probe.base
-    rows, centers, perturbed = _power_diagram(rel, probe.frame)
+    # half extents of the box, or of the bounding box of the ball
+    half = np.broadcast_to(probe.extent, p)
+    rows, centers, perturbed = _power_diagram(rel, probe.frame, half)
     if probe.region == "box":
         inside = np.all(np.abs(centers) <= probe.extent, axis=1)
     else:
@@ -281,19 +287,34 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
                        perturbed)
 
 
-def _power_diagram(rel, frame: Frame):
+def _power_diagram(rel, frame: Frame, half):
     """Power diagram induced on the flat spanned by frame through the base
-    point, for sites rel relative to that base: the rows of its vertices
-    (the weighted Delaunay tops, sorted and unique), their orthocenters in
-    flat coordinates, and whether the weights had to be jittered."""
+    point, for sites rel relative to that base, on the box of half extents
+    half around it: the rows of its vertices (the weighted Delaunay tops,
+    sorted and unique), their orthocenters in flat coordinates, and whether
+    the weights had to be jittered.
+
+    Only the _candidates for the box are lifted, in increasing index order,
+    so their rows map back to rows of rel in the same lexicographic order;
+    when at most p + 1 sites pass, every site is. The diagram then has the
+    same vertices on the box as that of every site. Fewer than p + 1 sites
+    raise DegenerateInputError at once, since no jitter makes them span.
+    """
+    p = frame.p
     y = rel @ frame.rows.T
     lift = np.einsum("ij,ij->i", rel, rel)   # |y|^2 - weight, the power lift
+    keep = _candidates(y, lift, half)
+    if len(keep) <= p + 1:
+        keep = np.arange(len(y))
+    y, lift = y[keep], lift[keep]
     perturbed = False
     for attempt in range(MAX_REWALKS):
         try:
             wtops = lower_hull_simplices(np.column_stack([y, lift]))
             break
         except DegenerateInputError:
+            if len(lift) <= p:
+                raise   # too few sites to span the flat, jittered or not
             jit = np.random.default_rng(attempt).standard_normal(len(lift))
             lift = lift + WEIGHT_JITTER * jit
             perturbed = True
@@ -310,7 +331,24 @@ def _power_diagram(rel, frame: Frame):
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "degenerate power diagram (flat weighted cell)") from exc
-    return wtops, centers, perturbed
+    return keep[wtops], centers, perturbed
+
+
+def _candidates(y, lift, half):
+    """Increasing indices of the sites that can be nearest somewhere on the
+    box of half extents half, for flat coordinates y and power lifts lift.
+
+    With h^2 = lift - |y|^2 a site's squared offset from the flat, its
+    power distance on the box is at least near = |max(|y| - half, 0)|^2 +
+    h^2 and at most far = ||y| + half|^2 + h^2. A site whose near exceeds
+    the smallest far of any site is beaten everywhere on the box; the rest,
+    near <= min far up to TIE_TOL, are kept.
+    """
+    h2 = lift - np.einsum("ij,ij->i", y, y)
+    ay = np.abs(y)
+    near = np.sum(np.maximum(ay - half, 0.0) ** 2, axis=1) + h2
+    far = np.sum((ay + half) ** 2, axis=1) + h2
+    return np.flatnonzero(near <= far.min(initial=np.inf) * (1.0 + TIE_TOL))
 
 
 def _check_witnesses(rel, points, rows) -> None:

@@ -340,6 +340,29 @@ def test_duality_dimension_orthogonality_pivot():
                 assert z0.shape == (d,)
 
 
+def test_dual_basis_computed_once(monkeypatch):
+    # dim, direction_basis and the pivot check share one dual-side SVD; the
+    # pivot's cell side adds one more for k > 0
+    calls = []
+    real = delaunay.affine_basis
+
+    def counted(pts):
+        calls.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(delaunay, "affine_basis", counted)
+    m, _ = poisson_mosaic(3, 100, 2)
+    for k in range(4):
+        for idx in range(0, m.n_cells(k), 7):
+            calls.clear()
+            dual = voronoi_dual(m, k, idx)
+            if dual.bounded:
+                assert dual.dim == 3 - k
+            dual.direction_basis()
+            pivot_point(m, k, idx, dual=dual, check=True)
+            assert len(calls) == 1 + (k > 0)
+
+
 def test_pivot_of_vertex_is_site():
     m, pts = poisson_mosaic(2, 40, 5)
     for i in range(m.n_cells(0)):

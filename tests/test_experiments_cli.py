@@ -137,6 +137,20 @@ def test_trial_errors_name_their_seed(monkeypatch, error):
         run_experiment(path_spec(2, 200, 0.3, 3, seed=7))
 
 
+def test_too_few_sites_raise_a_typed_error_with_the_trial_seed():
+    # an intensity of 4 samples no site at all for this trial
+    spec = scape_spec(3, 1, 4, 0.05, 1, seed=34, margin=0.01)
+    with pytest.raises(DegenerateInputError,
+                       match=r"0 points .*\(trial seed \[34, 0\]\)"):
+        run_experiment(spec)
+
+
+def test_default_window_is_shared():
+    assert path_spec(3, 100, 0.3, 1).window is scape_spec(3, 2, 100, 0.3, 1).window
+    with pytest.raises(ValueError):
+        unit_box_window(2).center[0] = 0.0
+
+
 def test_worker_count_validation(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     assert worker_count(8) == 1
@@ -350,6 +364,17 @@ def test_cli_format_switches(argv, default):
     assert parse(argv + ["--csv"]).fmt == "csv"
     with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
         parse(argv + ["--json", "--csv"])
+
+
+def test_python_m_voroscape():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "voroscape", "constants",
+                           "--dmax", "2"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "p,d,value,exact"
 
 
 def test_cli_moments_csv():

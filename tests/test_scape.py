@@ -402,6 +402,78 @@ def test_patch_without_power_vertices_still_runs_the_witness(monkeypatch):
     assert checked == [(0, 3)]
 
 
+# ---------------- sites lifted into the power diagram ----------------
+
+def lifted_rows(monkeypatch):
+    """Record the row count of every lower_hull_simplices call in scape."""
+    counts = []
+    real = scape.lower_hull_simplices
+
+    def counted(lifted):
+        counts.append(len(lifted))
+        return real(lifted)
+
+    monkeypatch.setattr(scape, "lower_hull_simplices", counted)
+    return counts
+
+
+def scape_3d_trial(seed):
+    """The sites and probe of trial 0 of the scape_3d benchmark template."""
+    spec = experiments.scape_spec(3, 2, 2000, 0.3, 1, seed=seed)
+    rng = np.random.default_rng([seed, 0])
+    pts = sample(spec.process, spec.window, rng)
+    shrink = spec.resolved_margin() + experiments._probe_radius(spec)
+    frame, center = experiments.place_probe_frame(rng, 3, 2, spec.window, shrink)
+    return spec, pts, flat_patch_probe(frame, center, "box", np.full(2, 0.15))
+
+
+@pytest.mark.parametrize("seed", [2012, 2013, 2014])
+def test_power_diagram_lifts_only_sites_that_can_be_nearest(monkeypatch, seed):
+    spec, pts, probe = scape_3d_trial(seed)
+    counts = lifted_rows(monkeypatch)
+    s = voronoi_scape_flat(pts, probe)
+    assert len(counts) == 1 and counts[0] < len(pts) // 2
+    entries, total = mosaic_scape_reference(pts, probe)
+    assert len(entries) > 0
+    assert s.entries == entries and s.total_volume == total
+    assert distortion(s, probe) == experiments._distortion_trial(spec, 0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_patch_inside_one_cell_lifts_every_site(monkeypatch, p):
+    # only the site whose cell holds the tiny patch passes the filter, so
+    # the power diagram falls back to every site
+    pts = sample(poisson(600), unit_box_window(3), 12)
+    i = int(np.argmin(np.linalg.norm(pts - 0.5, axis=1)))
+    frame = sample_stiefel(p, 3, np.random.default_rng(13))
+    probe = flat_patch_probe(frame, pts[i] + 1e-4 * frame.rows[0], "box",
+                             np.full(p, 1e-6))
+    counts = lifted_rows(monkeypatch)
+    s = voronoi_scape_flat(pts, probe)
+    assert counts == [len(pts)]
+    assert s.entries == () and s.total_volume == 0.0
+
+
+def test_segment_filter_keeps_a_strict_subset(monkeypatch):
+    m, pts = poisson_mosaic(3, 1000, 14)
+    verts = np.array([[0.35, 0.4, 0.45], [0.65, 0.55, 0.5]])
+    counts = lifted_rows(monkeypatch)
+    s = voronoi_path(pts, Probe("polyline", vertices=verts))
+    assert len(counts) == 1 and counts[0] < len(pts) // 2
+    assert s.entries and s.edge_multiset() == dense_crossings(m, verts)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_too_few_sites_raise_without_jitter(n):
+    pts = np.random.default_rng(15).uniform(0.0, 1.0, size=(n, 3))
+    probe = flat_patch_probe(Frame(np.eye(3)[:2]), np.full(3, 0.5), "box", 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError,
+                           match=rf"\({n} points cannot span R\^2\)"):
+            voronoi_scape_flat(pts, probe)
+
+
 def test_exact_lattice_ties_are_degenerate_not_inconsistent():
     # on an unjittered lattice the flat meets Voronoi edges shared by four
     # cells, so power-diagram vertices tie; that is degenerate input, not a bug
