@@ -19,14 +19,13 @@ from .moments import (MomentEstimate, MomentQuery, distortion_constant,
 from .pointproc import (ProcessSpec, Window, explicit, lattice, poisson,
                         read_points_csv, sample, unit_ball_volume,
                         unit_box_window, window_volume, write_points_csv)
-from .delaunay import (DualCell, Mosaic, build_mosaic, circumradius_stats,
+from .delaunay import (DualCell, Mosaic, build_mosaic,
                        clipped_voronoi_volumes, export_mosaic_json,
                        nearest_site, pivot_point, validate_empty_sphere,
                        voronoi_dual)
 from .scape import (Probe, Scape, ScapeEntry, WeightedSite, distortion,
                     flat_patch_probe, power_nearest, project_weights,
-                    segment_probe, voronoi_path, voronoi_scape_flat,
-                    write_scape_csv)
+                    segment_probe, voronoi_path, voronoi_scape_flat)
 from .mixedvol import (MixedCell, MixedSumReport, RegularityReport,
                        ball_sum, mixed_cell, mixed_volume_sum, partition_sum,
                        regularity_report, tile_measure)

@@ -271,17 +271,25 @@ class SiteHull(NamedTuple):
 def site_hull(sites) -> SiteHull:
     """Convex hull of an (n, d) site array, one Qhull call on the sites
     centered on their centroid: raw coordinates far from the origin round
-    the facet planes off until the hull misses some of its own sites."""
+    the facet planes off until the hull misses some of its own sites. Too
+    few or affinely flat sites raise DegenerateInputError."""
     pts = np.asarray(sites, dtype=float)
+    n, d = pts.shape
+    if n < d + 1:
+        raise DegenerateInputError(
+            f"degenerate configuration ({n} points cannot span R^{d})")
     center = pts.mean(axis=0)
     rel = pts - center
-    d = pts.shape[1]
     if d == 1:
         # Qhull takes no 1-D input; the hull of a line is its two end sites
         ends = np.array([rel.argmin(), rel.argmax()], dtype=np.int32)
         return SiteHull(ends[:, None], np.array([[-1.0], [1.0]]),
                         np.array([rel[ends[0], 0], -rel[ends[1], 0]]), center)
-    hull = ConvexHull(rel)
+    try:
+        hull = ConvexHull(rel)
+    except QhullError as exc:
+        raise DegenerateInputError(
+            f"degenerate configuration ({n} points, affinely flat)") from exc
     return SiteHull(np.sort(hull.simplices, axis=1).astype(np.int32),
                     hull.equations[:, :d], hull.equations[:, d], center)
 
@@ -529,12 +537,6 @@ def validate_empty_sphere(m: Mosaic) -> bool:
             if set(np.nonzero(inside)[0].tolist()) - members:
                 return False
     return True
-
-
-def circumradius_stats(m: Mosaic):
-    """(max, mean) circumradius over the top cells."""
-    r = m.top_circumradii
-    return float(r.max()), float(r.mean())
 
 
 # -- clipped Voronoi volumes (partition code path) --------------------------

@@ -13,22 +13,22 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from importlib.metadata import PackageNotFoundError, version
+from types import MappingProxyType
 
 import numpy as np
 
-from .delaunay import build_mosaic
 from .errors import (ConsistencyError, CoverageError, DegenerateInputError,
                      UnboundedCellError)
 from .mixedvol import ball_sum
 from .moments import (MomentQuery, distortion_constant,
                       distortion_exact_string, moment_closed_form,
                       moment_monte_carlo, sample_stiefel)
-from .pointproc import (ProcessSpec, Window, _uniform_in_window, sample,
-                        unit_ball_volume, unit_box_window)
+from .pointproc import (ProcessSpec, Window, _uniform_in_window, poisson,
+                        sample, unit_ball_volume, unit_box_window)
 from .scape import distortion, flat_patch_probe, segment_probe, voronoi_path, \
     voronoi_scape_flat
 
@@ -39,6 +39,10 @@ TRIAL_ERRORS = (ConsistencyError, CoverageError, DegenerateInputError,
 Z_GATE = 4.0             # statistical acceptance band for mean vs prediction
 RATIO_GATE = 0.05        # mixed-volume ratio band, interior sums
 PARTITION_GATE = 0.01    # ratio band for the exact partition cases p in {0, d}
+
+# what a path, scape or moments run measures beyond its values: nothing,
+# one read-only mapping shared by all of their results
+NOTHING_MEASURED = MappingProxyType({})
 
 EXPERIMENT_KINDS = ("path", "scape_flat", "mixedvol", "moments")
 
@@ -114,13 +118,42 @@ class ExperimentSpec:
 
 @dataclass(frozen=True, slots=True)
 class ExperimentResult:
+    """A run's trial values and statistics. measured holds the per-trial
+    data that the values do not carry (boundary shares and cell counts of
+    mixedvol runs; NOTHING_MEASURED for other kinds); metadata is derived
+    from it and the spec on each read, so a kept result holds only what was
+    measured."""
+
     spec: ExperimentSpec
     values: np.ndarray = field(compare=False)
     mean: float
     stderr: float | None
     predicted: float
     z: float | None
-    metadata: dict = field(compare=False)
+    measured: Mapping = field(compare=False)
+    elapsed_s: float = field(default=0.0, compare=False)
+
+    @property
+    def metadata(self) -> dict:
+        """The report's metadata, a fresh dict on each read."""
+        s = self.spec
+        if s.kind == "mixedvol":
+            m = self.measured
+            meta = {"margin": None, "boundary_shares": list(m["boundary_shares"]),
+                    "mean_boundary_share": float(np.mean(m["boundary_shares"])),
+                    "n_cells": list(m["n_cells"]),
+                    "n_boundary": list(m["n_boundary"]),
+                    "ratio_gate": PARTITION_GATE if s.p in (0, s.d) else RATIO_GATE}
+        elif s.kind == "moments":
+            meta = {"margin": None, "samples": s.samples}
+        else:
+            meta = {"margin": s.resolved_margin(),
+                    "placement": "haar rotation + uniform translation in core window"}
+        meta["trial_seeds"] = [[s.seed, t] for t in range(s.trials)]
+        meta["elapsed_s"] = round(self.elapsed_s, 3)
+        meta["versions"] = dict(_versions())
+        meta["z_gate"] = Z_GATE
+        return meta
 
     def gate_passed(self) -> bool:
         """Statistical acceptance: |z| within the band, or the ratio band
@@ -134,9 +167,10 @@ class ExperimentResult:
 
     def to_json_dict(self) -> dict:
         s = self.spec
+        meta = self.metadata
         return {
             "kind": s.kind, "d": s.d, "p": s.p, "trials": s.trials,
-            "seed": s.seed, "margin": self.metadata.get("margin"),
+            "seed": s.seed, "margin": meta["margin"],
             "process": {"kind": s.process.kind, "rho": s.process.rho,
                         "spacing": s.process.spacing},
             "window": {"kind": s.window.kind,
@@ -148,11 +182,11 @@ class ExperimentResult:
             "mean": self.mean, "stderr": self.stderr,
             "predicted": self.predicted, "z": self.z,
             "gate_passed": self.gate_passed(),
-            "metadata": self.metadata,
+            "metadata": meta,
         }
 
 
-def _aggregate(spec, values, predicted, metadata, elapsed, stderr=None, z=None):
+def _aggregate(spec, values, predicted, measured, elapsed, stderr=None, z=None):
     """Result of the trial values; stderr and z come from the values unless
     the caller passes its estimator's own."""
     values = np.asarray(values, dtype=float)
@@ -160,12 +194,8 @@ def _aggregate(spec, values, predicted, metadata, elapsed, stderr=None, z=None):
     if stderr is None and len(values) >= 2:
         stderr = float(values.std(ddof=1) / np.sqrt(len(values)))
         z = (mean - predicted) / stderr if stderr > 0 else float("inf")
-    metadata = dict(metadata)
-    metadata.setdefault("trial_seeds", [[spec.seed, t] for t in range(spec.trials)])
-    metadata["elapsed_s"] = round(elapsed, 3)
-    metadata["versions"] = dict(_versions())
-    metadata["z_gate"] = Z_GATE
-    return ExperimentResult(spec, values, mean, stderr, predicted, z, metadata)
+    return ExperimentResult(spec, values, mean, stderr, predicted, z, measured,
+                            elapsed)
 
 
 @cache
@@ -204,11 +234,8 @@ def _distortion_trial(spec: ExperimentSpec, trial: int) -> float:
         u = frame.rows[0]
         half = spec.probe_size / 2.0
         probe = segment_probe(center - half * u, center + half * u)
-        # the path reads only the sites, but a trial without the mosaic runs
-        # fast enough that the benchmark's kept results break its RSS bound
-        scape = voronoi_path(build_mosaic(points, spec.d), probe)
+        scape = voronoi_path(points, probe)
     else:
-        # the power diagram on the flat needs only the sites
         half = np.full(spec.p, spec.probe_size / 2.0)
         probe = flat_patch_probe(frame, center, "box", half)
         scape = voronoi_scape_flat(points, probe)
@@ -253,6 +280,8 @@ def _run_trials(spec: ExperimentSpec) -> list[dict]:
         for t in range(spec.trials):
             out[t] = _run_trial(spec, t)[1]
         return out
+    # imported here: a single-process run never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n) as pool:
         for t, payload in pool.map(_run_trial, [spec] * spec.trials,
                                    range(spec.trials)):
@@ -262,7 +291,7 @@ def _run_trials(spec: ExperimentSpec) -> list[dict]:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run a spec's trials and aggregate them; each kind adds only its
-    prediction and its own metadata."""
+    prediction and what its trials measured beyond their values."""
     t0 = time.perf_counter()
     if spec.kind == "moments":
         query = MomentQuery(spec.p, spec.d, spec.j)
@@ -274,24 +303,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             z = (est.mean - predicted) / est.stderr
         else:
             z = 0.0 if est.mean == predicted else None
-        meta = {"margin": None, "samples": spec.samples,
-                "trial_seeds": [[spec.seed, 0]]}
-        return _aggregate(spec, [est.mean], predicted, meta,
+        return _aggregate(spec, [est.mean], predicted, NOTHING_MEASURED,
                           time.perf_counter() - t0, est.stderr, z)
     rows = _run_trials(spec)
     if spec.kind == "mixedvol":
         predicted = 1.0
-        shares = [r["boundary_share"] for r in rows]
-        meta = {"margin": None, "boundary_shares": shares,
-                "mean_boundary_share": float(np.mean(shares)),
-                "n_cells": [r["n_cells"] for r in rows],
-                "n_boundary": [r["n_boundary"] for r in rows],
-                "ratio_gate": PARTITION_GATE if spec.p in (0, spec.d) else RATIO_GATE}
+        measured = {"boundary_shares": [r["boundary_share"] for r in rows],
+                    "n_cells": [r["n_cells"] for r in rows],
+                    "n_boundary": [r["n_boundary"] for r in rows]}
     else:
         predicted = distortion_constant(spec.p, spec.d)
-        meta = {"margin": spec.resolved_margin(),
-                "placement": "haar rotation + uniform translation in core window"}
-    return _aggregate(spec, [r["value"] for r in rows], predicted, meta,
+        measured = NOTHING_MEASURED
+    return _aggregate(spec, [r["value"] for r in rows], predicted, measured,
                       time.perf_counter() - t0)
 
 
@@ -322,26 +345,26 @@ def constants_csv_rows(d_max: int) -> list[list[str]]:
 
 def path_spec(d, rho, length, trials, seed=0, margin=None, window=None):
     window = unit_box_window(d) if window is None else window
-    return ExperimentSpec("path", d, 1, ProcessSpec("poisson", rho=rho),
+    return ExperimentSpec("path", d, 1, poisson(rho),
                           window, trials, seed=seed, margin=margin,
                           probe_size=length)
 
 
 def scape_spec(d, p, rho, side, trials, seed=0, margin=None, window=None):
     window = unit_box_window(d) if window is None else window
-    return ExperimentSpec("scape_flat", d, p, ProcessSpec("poisson", rho=rho),
+    return ExperimentSpec("scape_flat", d, p, poisson(rho),
                           window, trials, seed=seed, margin=margin,
                           probe_size=side)
 
 
 def mixedvol_spec(d, p, rho, R, window_radius, trials, seed=0):
     window = Window("ball", np.zeros(d), window_radius)
-    return ExperimentSpec("mixedvol", d, p, ProcessSpec("poisson", rho=rho),
+    return ExperimentSpec("mixedvol", d, p, poisson(rho),
                           window, trials, seed=seed, R=R)
 
 
 def moments_spec(d, p, j, samples, seed=0):
-    return ExperimentSpec("moments", d, p, ProcessSpec("poisson", rho=1.0),
+    return ExperimentSpec("moments", d, p, poisson(1.0),
                           unit_box_window(max(d, 1)), 1, seed=seed, j=j,
                           samples=samples)
 

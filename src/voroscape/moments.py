@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -74,6 +75,7 @@ def moment_closed_form(q: MomentQuery) -> float:
     raise ValueError("no closed form implemented")
 
 
+@cache
 def distortion_constant(p: int, d: int) -> float:
     """Expected distortion Gamma(d/2+1) / (Gamma(p/2+1) Gamma((d-p)/2+1)).
 

@@ -7,7 +7,7 @@ that parallel trials reproduce bitwise regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -114,7 +114,10 @@ class ProcessSpec(_ByValue):
             raise ValueError(f"unknown process kind {self.kind!r}")
 
 
+@lru_cache(maxsize=None, typed=True)
 def poisson(rho: float) -> ProcessSpec:
+    """One shared spec per intensity; typed, so 1000 and 1000.0 stay apart
+    in reports."""
     return ProcessSpec("poisson", rho=rho)
 
 

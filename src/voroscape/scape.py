@@ -386,11 +386,3 @@ def distortion(s: Scape, probe: Probe) -> float:
     if vol <= 0.0:
         raise ValueError("probe volume must be positive")
     return s.total_volume / vol
-
-
-def write_scape_csv(path, s: Scape) -> None:
-    """Scape as CSV: sorted site indices (semicolon-joined), multiplicity, volume."""
-    with open(path, "w") as fh:
-        fh.write("sites,multiplicity,volume\n")
-        for e in s.entries:
-            fh.write(f"{';'.join(str(i) for i in e.sites)},{e.multiplicity},{e.volume!r}\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voroscape import delaunay
-from voroscape.delaunay import (Mosaic, build_mosaic, circumradius_stats,
+from voroscape.delaunay import (Mosaic, build_mosaic,
                                 clipped_voronoi_volumes, export_mosaic_json,
                                 nearest_site, pivot_point,
                                 validate_empty_sphere, voronoi_dual)
@@ -246,20 +246,6 @@ def test_triangle_circumdata():
 def test_thin_triangle_keeps_its_area():
     m = build_mosaic(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-6], [0.5, 1.0]]))
     assert m.cell_volume(2, m.cell_index(2, (0, 1, 2))) == pytest.approx(5e-7, rel=1e-9)
-
-
-def test_circumradius_stats_equilateral():
-    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    m = build_mosaic(v)
-    mx, mean = circumradius_stats(m)
-    assert mx == pytest.approx(1 / np.sqrt(3), rel=1e-12)
-    assert mean == pytest.approx(1 / np.sqrt(3), rel=1e-12)
-
-
-def test_circumradius_stats_two_cells():
-    m, _ = poisson_mosaic(2, 30, 4)
-    m.top_circumradii = np.array([1.0, 3.0])  # stats read this field only
-    assert circumradius_stats(m) == (3.0, 2.0)
 
 
 def test_flipped_diagonal_fails_validation():

@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from math import pi
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voroscape import experiments
+from voroscape import experiments, pointproc
 from voroscape.cli import build_parser, main
 from voroscape.errors import (ConsistencyError, CoverageError,
                               DegenerateInputError, UnboundedCellError)
@@ -131,7 +133,7 @@ def test_trial_errors_name_their_seed(monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("stage failed")
 
-    monkeypatch.setattr(experiments, "build_mosaic", fail)
+    monkeypatch.setattr(experiments, "voronoi_path", fail)
     monkeypatch.setenv(WORKERS_ENV, "1")
     with pytest.raises(error, match=r"^stage failed \(trial seed \[7, 0\]\)$"):
         run_experiment(path_spec(2, 200, 0.3, 3, seed=7))
@@ -213,11 +215,56 @@ def test_versions_looked_up_once(monkeypatch):
     experiments._versions.cache_clear()
     a = run_experiment(moments_spec(2, 1, 1, 100))
     b = run_experiment(path_spec(2, 300, 0.3, 2, seed=1))
+    # metadata is built on each read, so read it before counting lookups
+    va, vb = a.metadata["versions"], b.metadata["versions"]
     assert calls == ["voroscape"]
     # equal payloads, but no result shares its dict with another
-    assert a.metadata["versions"] == b.metadata["versions"]
-    assert a.metadata["versions"] is not b.metadata["versions"]
+    assert va == vb
+    assert va is not vb
     experiments._versions.cache_clear()
+
+
+def test_metadata_read_is_a_fresh_copy():
+    res = run_experiment(mixedvol_spec(2, 1, 3000, 0.3, 0.5, 2, seed=3))
+    first, second = res.metadata, res.metadata
+    assert first == second and first is not second
+    first["boundary_shares"].append(0.0)
+    first["versions"]["numpy"] = "edited"
+    assert res.metadata == second
+
+
+def test_kept_results_stay_small(monkeypatch):
+    # the benchmark keeps every one-trial result of a run; each must hold
+    # only what it measured, not a copy of its derived metadata
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    n = 300
+    specs = [path_spec(3, 1000, 0.3, 1, seed=5000 + k) for k in range(n)]
+    run_experiment(path_spec(3, 1000, 0.3, 1, seed=4999))   # warm every cache
+    tracemalloc.start()
+    try:
+        # collect the trials' cyclic garbage before each reading, so that
+        # only what the kept results hold is counted
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [run_experiment(spec) for spec in specs]
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == n
+    assert grown / n <= 450, f"{grown / n:.0f} B per kept result"
+
+
+def test_poisson_spec_is_shared_and_typed():
+    pointproc.poisson.cache_clear()
+    assert poisson(1000) is poisson(1000)
+    # an integer and a float intensity are equal keys, but each report keeps
+    # the type it was given, whichever was cached first
+    as_float = run_experiment(path_spec(3, 1000.0, 0.3, 1, seed=2))
+    as_int = run_experiment(path_spec(3, 1000, 0.3, 1, seed=2))
+    assert '"rho": 1000,' in json.dumps(as_int.to_json_dict())
+    assert '"rho": 1000.0,' in json.dumps(as_float.to_json_dict())
+    assert path_spec(3, 1000, 0.3, 1).process is poisson(1000)
 
 
 def test_aggregate_stats():

@@ -14,8 +14,7 @@ from voroscape.moments import sample_stiefel
 from voroscape.pointproc import lattice, poisson, sample, unit_box_window
 from voroscape.scape import (Probe, ScapeEntry, distortion, flat_patch_probe,
                              power_nearest, project_weights, segment_probe,
-                             voronoi_path, voronoi_scape_flat,
-                             write_scape_csv)
+                             voronoi_path, voronoi_scape_flat)
 
 TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]])
 
@@ -357,12 +356,22 @@ def test_witness_rejects_a_wrong_power_vertex(monkeypatch):
         voronoi_scape_flat(pts, probe)
 
 
-def test_scape_trial_builds_no_mosaic(monkeypatch):
+def refuse_mosaics(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a flat scape trial built the ambient mosaic")
+        raise AssertionError("a trial built a Delaunay mosaic")
 
-    monkeypatch.setattr(experiments, "build_mosaic", refuse)
+    monkeypatch.setattr(delaunay.Mosaic, "__init__", refuse)
+
+
+def test_scape_trial_builds_no_mosaic(monkeypatch):
+    refuse_mosaics(monkeypatch)
     r = experiments.run_experiment(experiments.scape_spec(3, 2, 2000, 0.2, 2, seed=3))
+    assert np.all(np.isfinite(r.values)) and np.all(r.values > 0.0)
+
+
+def test_path_trial_builds_no_mosaic(monkeypatch):
+    refuse_mosaics(monkeypatch)
+    r = experiments.run_experiment(experiments.path_spec(3, 1000, 0.3, 2, seed=3))
     assert np.all(np.isfinite(r.values)) and np.all(r.values > 0.0)
 
 
@@ -472,6 +481,25 @@ def test_too_few_sites_raise_without_jitter(n):
         with pytest.raises(DegenerateInputError,
                            match=rf"\({n} points cannot span R\^2\)"):
             voronoi_scape_flat(pts, probe)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_path_on_too_few_sites_raises_a_typed_error(n):
+    # the coverage hull is the path's first Qhull call; it must not leak an
+    # untyped scipy error (or a numpy warning on no sites at all)
+    pts = np.random.default_rng(15).uniform(0.0, 1.0, size=(n, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError,
+                           match=rf"\({n} points cannot span R\^3\)"):
+            voronoi_path(pts, segment_probe([0.4] * 3, [0.6] * 3))
+
+
+def test_path_on_flat_sites_raises_a_typed_error():
+    pts = np.column_stack([np.random.default_rng(16).uniform(size=(10, 2)),
+                           np.zeros(10)])
+    with pytest.raises(DegenerateInputError, match="affinely flat"):
+        voronoi_path(pts, segment_probe([0.4, 0.4, 0.0], [0.6, 0.6, 0.0]))
 
 
 def test_exact_lattice_ties_are_degenerate_not_inconsistent():
@@ -633,16 +661,3 @@ def test_staircase_sanity_no_mosaic():
         + np.sum(np.abs(np.diff(y))) + np.abs(y[0] - y[-1])
     assert staircase / (2 * np.pi * R) == pytest.approx(4 / np.pi, rel=1e-8)
 
-
-# ---------------- export ----------------
-
-def test_scape_csv(tmp_path):
-    m = build_mosaic(TRIANGLE)
-    s = voronoi_path(m, segment_probe([0.1, 0.1], [1.9, 0.1]))
-    path = tmp_path / "scape.csv"
-    write_scape_csv(path, s)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sites,multiplicity,volume"
-    cells, mult, vol = lines[1].split(",")
-    assert cells == "0;1" and mult == "1"
-    assert float(vol) == pytest.approx(2.0)
