@@ -10,8 +10,7 @@ Carlo experiments.
 from .errors import (ConsistencyError, CoverageError, DegenerateInputError,
                      UnboundedCellError)
 from .geometry import (Frame, Simplex, affine_basis, circumsphere,
-                       frame_projection_volume, orthonormalize, polygon_area,
-                       polygon_disk_area, simplex_volume)
+                       orthonormalize, simplex_volume)
 from .moments import (MomentEstimate, MomentQuery, distortion_constant,
                       distortion_double_factorial, distortion_exact_string,
                       distortion_table, moment_closed_form,
@@ -26,9 +25,8 @@ from .delaunay import (DualCell, Mosaic, build_mosaic,
 from .scape import (Probe, Scape, ScapeEntry, WeightedSite, distortion,
                     flat_patch_probe, power_nearest, project_weights,
                     segment_probe, voronoi_path, voronoi_scape_flat)
-from .mixedvol import (MixedCell, MixedSumReport, RegularityReport,
-                       ball_sum, mixed_cell, mixed_volume_sum, partition_sum,
-                       regularity_report, tile_measure)
+from .mixedvol import (MixedSumReport, RegularityReport, ball_sum,
+                       mixed_volume_sum, partition_sum, regularity_report)
 from .experiments import (ExperimentResult, ExperimentSpec, default_margin,
                           mixedvol_spec, moments_spec, path_spec,
                           run_constants, run_experiment, scape_spec)

@@ -103,7 +103,7 @@ def _dot(a, b):
     return out
 
 
-def _gram_schmidt(e):
+def _gram_schmidt(e, last_direction=True):
     """Batched modified Gram-Schmidt of edge rows in column layout (k, d, m).
 
     Returns q (k, d, m), the orthonormalized edges, and low (k, k, m), the
@@ -112,9 +112,10 @@ def _gram_schmidt(e):
     height of edge i over the span of the edges before it. A height within
     HEIGHT_TOL of its edge's length is round-off of an edge in that span:
     it stays 0, and so does its q, so that no later edge projects on noise.
-    Python loops run only over k and d, both at most 4 here, and every step
-    is elementwise across the batch, so a simplex gets the same numbers in
-    any batch.
+    No height reads the last direction q[k - 1]; with last_direction False
+    it is left unset, for callers that read only low. Python loops run only
+    over k and d, both at most 4 here, and every step is elementwise across
+    the batch, so a simplex gets the same numbers in any batch.
     """
     k, d, m = e.shape
     q = np.empty_like(e)
@@ -132,7 +133,8 @@ def _gram_schmidt(e):
         h2 = _dot(w, w)
         tall = h2 > keep[i]
         low[i, i] = np.sqrt(np.where(tall, h2, 0.0))
-        q[i] = w / np.where(tall, low[i, i], np.inf)
+        if last_direction or i < k - 1:
+            q[i] = w / np.where(tall, low[i, i], np.inf)
     return q, low
 
 
@@ -164,7 +166,7 @@ def simplex_volumes(v) -> np.ndarray:
     e = _edges(v)
     vol = np.ones(e.shape[2])
     if len(e):
-        low = _gram_schmidt(e)[1]
+        low = _gram_schmidt(e, last_direction=False)[1]
         for i in range(len(e)):
             vol *= low[i, i]
     return vol / factorial(len(e))
@@ -238,23 +240,6 @@ def circumsphere(s):
     return center, float(np.linalg.norm(center - v[0]))
 
 
-def frame_projection_volume(f: Frame, g: Frame) -> float:
-    """Volume of the projection of the unit p-cube spanned by f onto span(g).
-
-    Equals |det(F G^T)|, which is symmetric in the two frames and lies in
-    [0, 1]. For p = 1 this is the cosine of the angle between the lines.
-    """
-    if not isinstance(f, Frame):
-        f = Frame(np.asarray(f, dtype=float))
-    if not isinstance(g, Frame):
-        g = Frame(np.asarray(g, dtype=float))
-    if f.p != g.p or f.d != g.d:
-        raise ValueError("frames must share p and d")
-    if f.p == 0:
-        return 1.0
-    return float(abs(np.linalg.det(f.rows @ g.rows.T)))
-
-
 def orthonormalize(vectors) -> Frame:
     """Orthonormal frame spanning the same subspace as the given vectors.
 
@@ -286,15 +271,6 @@ def affine_basis(points) -> Frame:
     u, s, vt = np.linalg.svd(e, full_matrices=False)
     rank = int(np.sum(s > max(1e-13, s[0] * 1e-12))) if s.size else 0
     return Frame(vt[:rank])
-
-
-def polygon_area(poly) -> float:
-    """Signed-free area of a convex polygon given in boundary order."""
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 
 
 def _cross(u, v):
@@ -358,9 +334,3 @@ def polygon_disk_areas(vertices, indptr, center, radius) -> np.ndarray:
     out = np.where(per_polygon(piece) > 0.0, np.maximum(area, 0.0), whole)
     out[counts < 3] = 0.0
     return out
-
-
-def polygon_disk_area(poly, center, radius) -> float:
-    """Exact area of the intersection of one convex polygon with a disk."""
-    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
-    return float(polygon_disk_areas(poly, [0, len(poly)], center, radius)[0])

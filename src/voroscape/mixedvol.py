@@ -25,33 +25,13 @@ from math import comb
 
 import numpy as np
 
-from .delaunay import (EMPTY_SPHERE_TOL, DualCell, Mosaic, build_mosaic,
-                       clipped_voronoi_volumes, voronoi_dual)
-from .errors import DegenerateInputError, UnboundedCellError
+from .delaunay import (EMPTY_SPHERE_TOL, Mosaic, build_mosaic,
+                       clipped_voronoi_volumes)
+from .errors import DegenerateInputError
 from .geometry import polygon_disk_areas, simplex_volumes
 from .pointproc import Window, unit_ball_volume, window_volume
 
 PAD_SPACINGS = 6.0   # first pad of a local mosaic, in mean site spacings
-
-
-@dataclass(frozen=True)
-class MixedCell:
-    """A dual pair with its mixed volume, pivot point, and reach radius.
-
-    boundary is True when the ball of radius R0 around the pivot z0 is not
-    contained in the open window ball, which is exactly when the pair's tile
-    can leak measure across the window boundary. The unbounded dual of a
-    hull cell makes mixed_volume and R0 infinite, so such a pair is always
-    a boundary pair.
-    """
-
-    owner_dim: int
-    owner_index: int
-    dual: DualCell
-    mixed_volume: float
-    z0: np.ndarray
-    R0: float
-    boundary: bool
 
 
 @dataclass(frozen=True)
@@ -77,13 +57,6 @@ class MixedSumReport:
         })
 
 
-def tile_measure(c: MixedCell, d: int, p: int) -> float:
-    """Measure of the tile of a dual pair: mixed volume over C(d, p)."""
-    if not c.dual.bounded:
-        raise UnboundedCellError("infinite tile")
-    return c.mixed_volume / comb(d, p)
-
-
 def _pairs(m: Mosaic, p: int, idx: np.ndarray):
     """Mixed volumes, pivots z0 and reach radii R0 of the p-cells idx; the
     mixed volume and R0 of a hull cell are inf."""
@@ -102,15 +75,6 @@ def _reaching(m: Mosaic, R: float, center) -> np.ndarray:
     in its closed circumdisk, so any other top has no volume in the ball."""
     return (np.linalg.norm(m.top_circumcenters - center, axis=1)
             < R + m.top_circumradii)
-
-
-def mixed_cell(m: Mosaic, p: int, idx: int, R: float, center=None) -> MixedCell:
-    """MixedCell of one p-cell against the window ball B(center, R)."""
-    center = np.zeros(m.d) if center is None else np.asarray(center, dtype=float)
-    mixed, z0, R0 = _pairs(m, p, np.array([idx]))
-    boundary = bool(np.linalg.norm(z0[0] - center) + R0[0] >= R)
-    return MixedCell(p, idx, voronoi_dual(m, p, idx), float(mixed[0]), z0[0],
-                     float(R0[0]), boundary)
 
 
 def mixed_volume_sum(m: Mosaic, p: int, R: float, center=None,

@@ -45,15 +45,6 @@ class MomentEstimate:
         if self.stderr < 0.0 or self.samples < 1:
             raise ValueError("invalid estimate")
 
-    def merge(self, other: "MomentEstimate") -> "MomentEstimate":
-        """Inverse-variance pooling of two independent estimates."""
-        if self.stderr == 0.0 or other.stderr == 0.0:
-            keep = self if self.stderr == 0.0 else other
-            return MomentEstimate(keep.mean, 0.0, self.samples + other.samples, self.seed)
-        wa, wb = self.stderr ** -2, other.stderr ** -2
-        mean = (wa * self.mean + wb * other.mean) / (wa + wb)
-        return MomentEstimate(mean, (wa + wb) ** -0.5, self.samples + other.samples, self.seed)
-
 
 def moment_closed_form(q: MomentQuery) -> float:
     """Exact projection moment for powers j = 0, 1, 2.

@@ -6,13 +6,16 @@ projected sites with weights equal to minus the squared projection offsets
 (Aurenhammer 1987), so a patch's scape is read off the weighted Delaunay
 triangulation built by the same lifting machinery as build_mosaic, with no
 ambient mosaic. Only the sites that can be nearest somewhere on the patch's
-bounding box are lifted, picked by an exact bound on their power distances
-over the box. A nearest-site witness over every site checks at every
-power-diagram vertex that its p + 1 sites span a Delaunay p-cell, so it
-needs no trust in that pick. A path is the p = 1 case: each segment of a
-polyline is a 1-flat patch, and the edges of all segments are counted
-together. The cells arrive as sorted index rows, and a scape measures all
-of them with one batched simplex_volumes call.
+bounding box are lifted, picked by exact near/far bounds on their power
+distances over the box and then over SPLIT^p sub-boxes of it. A
+nearest-site witness checks at every power-diagram vertex that its p + 1
+sites span a Delaunay p-cell. It measures only the sites that the
+whole-box bound cannot prove farther than every cell's own sites, with a
+radius read from the cells themselves, so it covers every site and needs
+no trust in the pick. A path is the p = 1 case: each segment of a polyline
+is a 1-flat patch, and the edges of all segments are counted together.
+The cells arrive as sorted index rows, a scape measures all of them with
+one batched simplex_volumes call, and it keeps them as arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .delaunay import lower_hull_simplices, site_hull
 from .errors import ConsistencyError, CoverageError, DegenerateInputError
@@ -34,6 +36,9 @@ PERTURB_EPS = 1e-9      # deterministic probe displacement on degenerate hits
 WEIGHT_JITTER = 1e-12   # weight perturbation when the power diagram degenerates
 MAX_REWALKS = 8
 TIE_TOL = 1e-9          # relative distance gap below which witness sites tie
+SPLIT = 4               # intervals per flat axis in the second candidate pass
+CUTS = np.linspace(-1.0, 1.0, SPLIT + 1)   # their ends on [-1, 1]
+WITNESS_BLOCK = 65536   # point-site distances per witness block
 
 
 @dataclass(frozen=True)
@@ -109,24 +114,45 @@ class ScapeEntry:
     volume: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scape:
-    """Multiset of Delaunay p-cells with multiplicities and total p-volume."""
+    """Multiset of Delaunay p-cells with multiplicities and total p-volume.
+
+    The cells are held as arrays: rows (m, p + 1) of sorted site indices in
+    lexicographic row order, with their multiplicities and volumes.
+    entries and edge_multiset are built from them on each read. Two scapes
+    are equal when p, entries, total_volume and perturbed are.
+    """
 
     p: int
-    entries: tuple
+    rows: np.ndarray
+    multiplicities: np.ndarray
+    volumes: np.ndarray
     total_volume: float
     perturbed: bool = False   # a degenerate hit forced a retry somewhere
 
     def __post_init__(self):
-        check = sum(e.multiplicity * e.volume for e in self.entries)
-        if self.entries and abs(check - self.total_volume) > 1e-9 * max(1.0, abs(check)):
-            raise ValueError("total volume does not match entries")
-        if any(e.multiplicity < 1 for e in self.entries):
+        if np.any(self.multiplicities < 1):
             raise ValueError("multiplicities must be positive")
+        if len(self.rows):
+            check = float(np.cumsum(self.multiplicities * self.volumes)[-1])
+            if abs(check - self.total_volume) > 1e-9 * max(1.0, abs(check)):
+                raise ValueError("total volume does not match entries")
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(ScapeEntry, map(tuple, self.rows.tolist()),
+                         self.multiplicities.tolist(), self.volumes.tolist()))
 
     def edge_multiset(self) -> Counter:
-        return Counter({e.sites: e.multiplicity for e in self.entries})
+        return Counter(dict(zip(map(tuple, self.rows.tolist()),
+                                self.multiplicities.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, Scape):
+            return NotImplemented
+        return ((self.p, self.entries, self.total_volume, self.perturbed)
+                == (other.p, other.entries, other.total_volume, other.perturbed))
 
 
 def _make_scape(p: int, sites, rows, mults, perturbed: bool) -> Scape:
@@ -135,15 +161,14 @@ def _make_scape(p: int, sites, rows, mults, perturbed: bool) -> Scape:
 
     Every volume comes from one simplex_volumes call on the cells' sites.
     The total adds multiplicity times volume left to right in row order
-    (cumsum is sequential), so it equals a per-entry running sum bitwise.
+    (cumsum is sequential), so it equals a per-entry running sum bitwise;
+    Scape checks it against the same cumsum.
     """
     if not len(rows):
-        return Scape(p, (), 0.0, perturbed)
+        return Scape(p, rows, mults, np.zeros(0), 0.0, perturbed)
     vols = simplex_volumes(sites[rows])
     total = float(np.cumsum(mults * vols)[-1])
-    entries = tuple(map(ScapeEntry, map(tuple, rows.tolist()), mults.tolist(),
-                        vols.tolist()))
-    return Scape(p, entries, total, perturbed)
+    return Scape(p, rows, mults, vols, total, perturbed)
 
 
 def voronoi_path(sites, probe: Probe) -> Scape:
@@ -198,12 +223,12 @@ def _segment_edges(sites, a, b):
     frame = Frame(v[None, :] / length)
     rel = sites - 0.5 * (a + b)
     half = 0.5 * length
-    tops, centers, jittered = _power_diagram(rel, frame, np.array([half]))
+    tops, centers, near, jittered = _power_diagram(rel, frame, np.array([half]))
     t = np.abs(centers[:, 0])
     if np.any(np.abs(t - half) <= CROSS_TOL * length):
         raise DegenerateInputError("polyline vertex on a Voronoi face")
     inside = t <= half
-    _check_witnesses(rel, centers[inside] @ frame.rows, tops[inside])
+    _check_witnesses(rel, centers[inside] @ frame.rows, tops[inside], near)
     return tops[inside], jittered
 
 
@@ -276,13 +301,13 @@ def voronoi_scape_flat(sites, probe: Probe) -> Scape:
     rel = sites - probe.base
     # half extents of the box, or of the bounding box of the ball
     half = np.broadcast_to(probe.extent, p)
-    rows, centers, perturbed = _power_diagram(rel, probe.frame, half)
+    rows, centers, near, perturbed = _power_diagram(rel, probe.frame, half)
     if probe.region == "box":
         inside = np.all(np.abs(centers) <= probe.extent, axis=1)
     else:
         inside = np.einsum("ij,ij->i", centers, centers) <= float(probe.extent) ** 2
     rows = rows[inside]
-    _check_witnesses(rel, centers[inside] @ probe.frame.rows, rows)
+    _check_witnesses(rel, centers[inside] @ probe.frame.rows, rows, near)
     return _make_scape(p, sites, rows, np.ones(len(rows), dtype=np.int64),
                        perturbed)
 
@@ -291,8 +316,9 @@ def _power_diagram(rel, frame: Frame, half):
     """Power diagram induced on the flat spanned by frame through the base
     point, for sites rel relative to that base, on the box of half extents
     half around it: the rows of its vertices (the weighted Delaunay tops,
-    sorted and unique), their orthocenters in flat coordinates, and whether
-    the weights had to be jittered.
+    sorted and unique), their orthocenters in flat coordinates, every
+    site's lower bound near on its squared distance from the box (see
+    _candidates), and whether the weights had to be jittered.
 
     Only the _candidates for the box are lifted, in increasing index order,
     so their rows map back to rows of rel in the same lexicographic order;
@@ -303,7 +329,7 @@ def _power_diagram(rel, frame: Frame, half):
     p = frame.p
     y = rel @ frame.rows.T
     lift = np.einsum("ij,ij->i", rel, rel)   # |y|^2 - weight, the power lift
-    keep = _candidates(y, lift, half)
+    keep, near = _candidates(y, lift, half)
     if len(keep) <= p + 1:
         keep = np.arange(len(y))
     y, lift = y[keep], lift[keep]
@@ -331,46 +357,99 @@ def _power_diagram(rel, frame: Frame, half):
     except DegenerateInputError as exc:
         raise DegenerateInputError(
             "degenerate power diagram (flat weighted cell)") from exc
-    return keep[wtops], centers, perturbed
+    return keep[wtops], centers, near, perturbed
 
 
 def _candidates(y, lift, half):
     """Increasing indices of the sites that can be nearest somewhere on the
-    box of half extents half, for flat coordinates y and power lifts lift.
+    box of half extents half, for flat coordinates y and power lifts lift,
+    and every site's near over the whole box.
 
     With h^2 = lift - |y|^2 a site's squared offset from the flat, its
-    power distance on the box is at least near = |max(|y| - half, 0)|^2 +
-    h^2 and at most far = ||y| + half|^2 + h^2. A site whose near exceeds
-    the smallest far of any site is beaten everywhere on the box; the rest,
-    near <= min far up to TIE_TOL, are kept.
+    power distance at a point of a box B, which is its squared distance
+    from that point, is at least near(B) = |gap(y, B)|^2 + h^2 and at most
+    far(B) = |reach(y, B)|^2 + h^2, with gap and reach the per-axis
+    distances from y to the nearest and farthest point of B. At any x in B
+    the nearest site's power distance is at most far_t(B) for every site t,
+    so a site s with near_s(B) > min_t far_t(B) is beaten everywhere on B.
+    A first pass drops those on the whole box. A second splits each axis of
+    the box into SPLIT intervals and keeps a survivor s only if on some
+    sub-box B near_s(B) <= min_t far_t(B) over the survivors t, which hold
+    the nearest site of every point; both passes allow TIE_TOL. The
+    sub-boxes cover the box, so every site that is nearest somewhere on it
+    is kept. The returned near is that of the whole box: a lower bound on a
+    site's squared distance from every point of the patch, box or ball.
     """
     h2 = lift - np.einsum("ij,ij->i", y, y)
-    ay = np.abs(y)
-    near = np.sum(np.maximum(ay - half, 0.0) ** 2, axis=1) + h2
-    far = np.sum((ay + half) ** 2, axis=1) + h2
-    return np.flatnonzero(near <= far.min(initial=np.inf) * (1.0 + TIE_TOL))
+    # one row per axis, so that each pass runs along the sites
+    yt, half = np.array(y.T, order="C"), np.asarray(half)[:, None]
+    ay = np.abs(yt)
+    near = np.sum(np.maximum(ay - half, 0.0) ** 2, axis=0) + h2
+    far = np.sum((ay + half) ** 2, axis=0) + h2
+    keep = np.flatnonzero(near <= far.min(initial=np.inf) * (1.0 + TIE_TOL))
+    # gap and reach of each survivor on each interval of each axis, (p,
+    # SPLIT, m), summed over every choice of one interval per axis into
+    # (SPLIT**p, m)
+    ends = (half * CUTS)[:, :, None]
+    yk = yt[:, None, keep]
+    lo, hi = ends[:, :-1] - yk, ends[:, 1:] - yk
+    gap = np.maximum(np.maximum(lo, -hi), 0.0)
+    reach = np.maximum(np.abs(lo), np.abs(hi))
+    sub_near = sub_far = h2[None, keep]
+    for g, r in zip(gap ** 2, reach ** 2):
+        sub_near = (sub_near[:, None] + g).reshape(SPLIT * len(sub_near), len(keep))
+        sub_far = (sub_far[:, None] + r).reshape(SPLIT * len(sub_far), len(keep))
+    bound = sub_far.min(axis=1, initial=np.inf) * (1.0 + TIE_TOL)
+    return keep[np.any(sub_near <= bound[:, None], axis=0)], near
 
 
-def _check_witnesses(rel, points, rows) -> None:
+def _check_witnesses(rel, points, rows, near) -> None:
     """Each point's len(row) nearest sites are its row's, the next strictly
-    farther; rel and points share coordinates centered on the patch base.
+    farther; rel and points share coordinates centered on the patch base,
+    and near[s] is a lower bound on site s's squared distance from every
+    point (_candidates).
 
-    Where that fails, the nearest site outside the row decides: within
+    Only the sites that can be that near are measured. With r^2 the largest
+    squared distance from a point to a site of its own row, a site with
+    near > r^2 (1 + 4 TIE_TOL) is strictly farther than every row's sites
+    from every point, beyond any tie and the round-off in near, so dropping
+    it changes no point's nearest sites or verdict. r^2 comes from the rows
+    themselves, so the check covers every site and trusts neither the
+    candidate pick nor Qhull. When k or fewer sites are left, every site is
+    measured.
+
+    Where the check fails, the nearest site outside the row decides: within
     TIE_TOL (relative) of the row's farthest site it ties, the power
     diagram is degenerate there and DegenerateInputError is raised; nearer
     than that, the row is not a Delaunay cell and ConsistencyError is raised.
     """
     k = rows.shape[1]
-    # an unbalanced tree builds faster and answers the same exact queries
-    dist, near = cKDTree(rel, balanced_tree=False).query(points, k=k + 1)
-    bad = np.any(np.sort(near[:, :k], axis=1) != rows, axis=1)
+    if not len(rows):
+        return
+    own = points[:, None, :] - rel[rows]
+    r2 = np.max(np.einsum("ijk,ijk->ij", own, own))
+    cand = np.flatnonzero(near <= r2 * (1.0 + 4.0 * TIE_TOL))
+    if len(cand) <= k:
+        cand = np.arange(len(rel))
+    # the (k + 1) nearest measured sites of each point, in blocks of points
+    # that keep the distance matrix small
+    site = np.empty((len(points), k + 1), dtype=np.intp)
+    dist = np.empty((len(points), k + 1))
+    step = max(1, WITNESS_BLOCK // len(cand))
+    for i in range(0, len(points), step):
+        diff = points[i:i + step, None, :] - rel[cand]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        order = np.argsort(d2, axis=1)[:, :k + 1]
+        site[i:i + step] = cand[order]
+        dist[i:i + step] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    bad = np.any(np.sort(site[:, :k], axis=1) != rows, axis=1)
     bad |= dist[:, k] <= dist[:, k - 1]
     if not np.any(bad):
         return
     for i in np.flatnonzero(bad):
         row = rows[i]
         reach = np.max(np.linalg.norm(rel[row] - points[i], axis=1))
-        outside = ~np.isin(near[i], row)
+        outside = ~np.isin(site[i], row)
         if dist[i][outside][0] < reach * (1.0 - TIE_TOL):
             raise ConsistencyError(
                 f"{k - 1}-cell {tuple(row.tolist())} is not a Delaunay cell of "

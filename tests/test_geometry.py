@@ -12,10 +12,9 @@ from scipy.spatial import ConvexHull
 from voroscape import geometry
 from voroscape.errors import DegenerateInputError
 from voroscape.geometry import (Frame, Simplex, affine_basis, circumcenters,
-                                circumsphere, frame_projection_volume,
-                                orthonormalize, polygon_area,
-                                polygon_disk_area, polygon_disk_areas,
-                                simplex_volume, simplex_volumes)
+                                circumsphere, orthonormalize,
+                                polygon_disk_areas, simplex_volume,
+                                simplex_volumes)
 from voroscape.moments import sample_stiefel
 
 
@@ -287,46 +286,6 @@ def test_kernel_equivariant_under_similarity(kd, seed, log_shift, log_scale):
     assert np.max(np.abs(turned - center)) <= MOTION_TOL * size
 
 
-# ---------------- frame projection volume ----------------
-
-def test_projection_identity():
-    f = Frame(np.eye(3)[:2])
-    assert frame_projection_volume(f, f) == pytest.approx(1.0)
-
-
-def test_projection_orthogonal_lines():
-    f = Frame(np.array([[1.0, 0.0]]))
-    g = Frame(np.array([[0.0, 1.0]]))
-    assert frame_projection_volume(f, g) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_projection_line_angle():
-    for t in np.linspace(0, 2 * np.pi, 17):
-        f = Frame(np.array([[np.cos(t), np.sin(t)]]))
-        g = Frame(np.array([[1.0, 0.0]]))
-        assert frame_projection_volume(f, g) == pytest.approx(abs(np.cos(t)), abs=1e-12)
-
-
-def test_projection_symmetry_random():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        p = int(rng.integers(1, 4))
-        d = int(rng.integers(p, 7))
-        f = sample_stiefel(p, d, rng)
-        g = sample_stiefel(p, d, rng)
-        a = frame_projection_volume(f, g)
-        b = frame_projection_volume(g, f)
-        assert abs(a - b) < 1e-12
-        assert -1e-12 <= a <= 1.0 + 1e-12
-
-
-def test_projection_dimension_mismatch():
-    f = Frame(np.eye(2))
-    g = Frame(np.eye(3)[:2])
-    with pytest.raises(ValueError):
-        frame_projection_volume(f, g)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10**9))
 def test_cauchy_binet(d, seed):
@@ -405,38 +364,43 @@ def test_orthonormalize_matches_sign_fixed_qr():
 
 # ---------------- polygon helpers ----------------
 
+def one_disk_area(poly, center=(0.0, 0.0), radius=1.0):
+    poly = np.asarray(poly, dtype=float)
+    return polygon_disk_areas(poly, [0, len(poly)], np.asarray(center), radius)[0]
+
+
+def shoelace_area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0
+
+
 def test_polygon_disk_area_exact():
     # big square clipped to unit disk: area pi; tiny square: own area
     big = np.array([[-2, -2], [2, -2], [2, 2], [-2, 2]], dtype=float)
-    assert polygon_disk_area(big, np.zeros(2), 1.0) == pytest.approx(np.pi, rel=1e-12)
+    assert one_disk_area(big, np.zeros(2), 1.0) == pytest.approx(np.pi, rel=1e-12)
     small = 0.1 * big
-    assert polygon_disk_area(small, np.zeros(2), 1.0) == pytest.approx(
-        polygon_area(small), rel=1e-12)
+    assert one_disk_area(small, np.zeros(2), 1.0) == pytest.approx(
+        shoelace_area(small), rel=1e-12)
 
 
 def test_polygon_disk_area_half_plane_limit():
     # square [0,2]x[-2,2] against unit disk centered origin: half disk
     sq = np.array([[0, -2], [2, -2], [2, 2], [0, 2]], dtype=float)
-    assert polygon_disk_area(sq, np.zeros(2), 1.0) == pytest.approx(np.pi / 2, rel=1e-12)
+    assert one_disk_area(sq, np.zeros(2), 1.0) == pytest.approx(np.pi / 2, rel=1e-12)
 
 
 def test_polygon_disk_area_orientation_free():
     sq = np.array([[0, -2], [2, -2], [2, 2], [0, 2]], dtype=float)
-    a1 = polygon_disk_area(sq, np.zeros(2), 1.0)
-    a2 = polygon_disk_area(sq[::-1], np.zeros(2), 1.0)
+    a1 = one_disk_area(sq, np.zeros(2), 1.0)
+    a2 = one_disk_area(sq[::-1], np.zeros(2), 1.0)
     assert a1 == pytest.approx(a2, rel=1e-14)
     rng = np.random.default_rng(12)
     for _ in range(20):
         pts = rng.normal(size=(8, 2))
         poly = pts[ConvexHull(pts).vertices]
-        a1 = polygon_disk_area(poly, np.zeros(2), 0.8)
-        a2 = polygon_disk_area(poly[::-1], np.zeros(2), 0.8)
+        a1 = one_disk_area(poly, np.zeros(2), 0.8)
+        a2 = one_disk_area(poly[::-1], np.zeros(2), 0.8)
         assert a1 == pytest.approx(a2, rel=1e-14)
-
-
-def one_disk_area(poly, center=(0.0, 0.0), radius=1.0):
-    poly = np.asarray(poly, dtype=float)
-    return polygon_disk_areas(poly, [0, len(poly)], np.asarray(center), radius)[0]
 
 
 def test_polygon_disk_areas_disjoint_and_containing_are_exact():
@@ -480,7 +444,7 @@ def test_polygon_disk_areas_batch_equals_single_calls():
     center = np.array([0.2, -0.1])
     indptr = np.concatenate([[0], np.cumsum([len(p) for p in polys])])
     batch = polygon_disk_areas(np.concatenate(polys), indptr, center, 1.1)
-    single = [polygon_disk_area(p, center, 1.1) for p in polys]
+    single = [one_disk_area(p, center, 1.1) for p in polys]
     assert batch.tolist() == single
     assert batch[0] == batch[1] == batch[-1] == 0.0
     assert np.all((0.0 < batch[2:-1]) & (batch[2:-1] <= np.pi * 1.1 ** 2))
@@ -490,9 +454,9 @@ def test_polygon_disk_area_montecarlo_crosscheck():
     rng = np.random.default_rng(4)
     for _ in range(5):
         v = rng.uniform(-1, 1, size=(3, 2)) * 1.5
-        if polygon_area(v) < 0.1:
+        if shoelace_area(v) < 0.1:
             continue
-        exact = polygon_disk_area(v, np.zeros(2), 1.0)
+        exact = one_disk_area(v, np.zeros(2), 1.0)
         pts = rng.uniform(-1.5, 1.5, size=(200000, 2))
         signed = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
         sv = v if signed > 0 else v[::-1]

@@ -14,11 +14,9 @@ from voroscape import mixedvol
 from voroscape.delaunay import (PIVOT_TOL, build_mosaic,
                                 clipped_voronoi_volumes, pivot_point,
                                 voronoi_dual)
-from voroscape.errors import UnboundedCellError
 from voroscape.geometry import simplex_volume
-from voroscape.mixedvol import (MixedCell, ball_sum, mixed_cell,
-                                mixed_volume_sum, partition_sum,
-                                regularity_report, tile_measure)
+from voroscape.mixedvol import (ball_sum, mixed_volume_sum, partition_sum,
+                                regularity_report)
 from voroscape.pointproc import (Window, lattice, poisson, sample,
                                  unit_ball_volume, unit_box_window)
 
@@ -43,6 +41,13 @@ def qhull_dual_volume(m, k, idx):
     return float(np.ptp(coords)) if n == 1 else ConvexHull(coords).volume
 
 
+def pair(m, p, idx, R):
+    """(mixed volume, pivot z0, reach R0, boundary) of one p-cell against
+    B(0, R), as the ball sums read it from _pairs."""
+    mixed, z0, R0 = mixedvol._pairs(m, p, np.array([idx]))
+    return mixed[0], z0[0], R0[0], bool(np.linalg.norm(z0[0]) + R0[0] >= R)
+
+
 def reference_pair(m, p, idx, R):
     """(mixed volume, boundary) of a p-cell against B(0, R), from the Qhull
     dual volume and the brute-force reach: the largest distance from a cell
@@ -65,7 +70,7 @@ def test_thin_pyramids_count_in_3d_dual_volume():
     m = build_mosaic(sample(poisson(1000), unit_box_window(3), 3))
     ref = qhull_dual_volume(m, 0, 476)
     assert ref == pytest.approx(338.66, abs=0.01)
-    assert mixed_cell(m, 0, 476, 0.3).mixed_volume == pytest.approx(ref, rel=1e-6)
+    assert pair(m, 0, 476, 0.3)[0] == pytest.approx(ref, rel=1e-6)
 
 
 def test_dual_volumes_match_qhull_and_circumcenters_are_pivots():
@@ -83,32 +88,24 @@ def test_dual_volumes_match_qhull_and_circumcenters_are_pivots():
 
 # ---------------- tile measure ----------------
 
-def test_tile_measure_formula():
-    # |gamma| = 2, |dual| = 0.75 in d=2, p=1: 2 * 0.75 / C(2,1) = 0.75
-    m = build_mosaic(TRIANGLE)
-    dual = voronoi_dual(m, 2, 0)  # any bounded dual carrier works here
-    c = MixedCell(1, 0, dual, 2.0 * 0.75, np.zeros(2), 1.0, False)
-    assert tile_measure(c, 2, 1) == pytest.approx(0.75, rel=1e-15)
-
-
 def test_tile_measure_extreme_dims():
+    # C(d, p) = 1 at p = 0 and p = d, so a pair's tile measure is its mixed
+    # volume: the Voronoi cell's volume at p = 0, the top's area at p = d
     m, _ = ball_mosaic(2, 800, 0.5, 0)
-    # p=0: tile measure equals the Voronoi cell volume
-    c0 = mixed_cell(m, 0, 40, R=0.4)
-    if c0.dual.bounded:
-        assert tile_measure(c0, 2, 0) == pytest.approx(c0.mixed_volume)
-    # p=d: tile measure equals the Delaunay cell volume
-    cd = mixed_cell(m, 2, 10, R=0.4)
-    assert tile_measure(cd, 2, 2) == pytest.approx(cd.mixed_volume)
-    assert cd.dual.bounded  # dual of a top cell is its circumcenter
+    if voronoi_dual(m, 0, 40).bounded:
+        assert pair(m, 0, 40, 0.4)[0] == pytest.approx(qhull_dual_volume(m, 0, 40))
+    assert pair(m, 2, 10, 0.4)[0] == pytest.approx(m.cell_volume(2, 10))
+    assert voronoi_dual(m, 2, 10).bounded  # dual of a top cell is its circumcenter
 
 
 def test_infinite_tile():
+    # a hull edge's dual is unbounded: its pair's mixed volume, so its tile,
+    # and its reach are infinite, and it is a boundary pair
     m = build_mosaic(TRIANGLE)
-    c = mixed_cell(m, 1, m.cell_index(1, (0, 1)), R=10.0)
-    assert c.boundary
-    with pytest.raises(UnboundedCellError, match="infinite tile"):
-        tile_measure(c, 2, 1)
+    idx = m.cell_index(1, (0, 1))
+    assert not voronoi_dual(m, 1, idx).bounded
+    mixed, _, R0, boundary = pair(m, 1, idx, 10.0)
+    assert boundary and np.isinf(mixed) and np.isinf(R0)
 
 
 def test_hull_pairs_are_infinite_boundary_pairs():
@@ -116,8 +113,8 @@ def test_hull_pairs_are_infinite_boundary_pairs():
     # unbounded duals give their pairs an infinite mixed volume and reach
     m, _ = ball_mosaic(2, 500, 0.5, 11)
     site = int(np.nonzero(m.boundary_mask(0))[0][0])
-    c = mixed_cell(m, 0, site, R=0.6)
-    assert c.boundary and np.isinf(c.mixed_volume) and np.isinf(c.R0)
+    mixed, _, R0, boundary = pair(m, 0, site, 0.6)
+    assert boundary and np.isinf(mixed) and np.isinf(R0)
     for p in (0, 1):
         outside = mixed_volume_sum(m, p, 0.6)
         assert np.isinf(outside.sum_boundary) and np.isfinite(outside.sum_interior)
@@ -131,13 +128,13 @@ def test_mixed_complex_scaling_identity():
     d = 2
     for p in (0, 1, 2):
         for idx in range(0, m.n_cells(p), 17):
-            c = mixed_cell(m, p, idx, R=0.4)
-            if not c.dual.bounded:
+            if not voronoi_dual(m, p, idx).bounded:
                 continue
+            mixed = pair(m, p, idx, 0.4)[0]
             gamma_vol = m.cell_volume(p, idx)
-            dual_vol = c.mixed_volume / gamma_vol if gamma_vol > 0 else 0.0
+            dual_vol = mixed / gamma_vol if gamma_vol > 0 else 0.0
             lhs = (gamma_vol / 2.0 ** p) * (dual_vol / 2.0 ** (d - p))
-            assert lhs == c.mixed_volume / 2.0 ** d
+            assert lhs == mixed / 2.0 ** d
 
 
 def test_pivot_within_reach_of_all_vertices():
@@ -145,13 +142,14 @@ def test_pivot_within_reach_of_all_vertices():
     m, pts = ball_mosaic(2, 300, 0.5, 2)
     for p in (0, 1, 2):
         for idx in range(0, m.n_cells(p), 11):
-            c = mixed_cell(m, p, idx, R=0.4)
-            if not c.dual.bounded:
+            dual = voronoi_dual(m, p, idx)
+            if not dual.bounded:
                 continue
+            _, z0, R0, _ = pair(m, p, idx, 0.4)
             for v in pts[m.cells[p][idx]]:
-                assert np.linalg.norm(c.z0 - v) <= c.R0 + 1e-9
-            for v in c.dual.vertices:
-                assert np.linalg.norm(c.z0 - v) <= c.R0 + 1e-9
+                assert np.linalg.norm(z0 - v) <= R0 + 1e-9
+            for v in dual.vertices:
+                assert np.linalg.norm(z0 - v) <= R0 + 1e-9
 
 
 # ---------------- ball sums ----------------

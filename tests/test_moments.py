@@ -193,15 +193,6 @@ def test_monte_carlo_sample_floor():
         moment_monte_carlo(MomentQuery(1, 2, 1), 50, seed=0)
 
 
-def test_monte_carlo_merge_inverse_variance():
-    a = moment_monte_carlo(MomentQuery(1, 4, 1), 20000, seed=10)
-    b = moment_monte_carlo(MomentQuery(1, 4, 1), 20000, seed=11)
-    m = a.merge(b)
-    assert m.samples == 40000
-    assert min(a.mean, b.mean) <= m.mean <= max(a.mean, b.mean)
-    assert m.stderr < min(a.stderr, b.stderr)
-
-
 def test_query_validation():
     with pytest.raises(ValueError):
         MomentQuery(3, 2, 1)

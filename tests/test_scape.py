@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from voroscape import delaunay, experiments, geometry, scape
@@ -401,9 +401,9 @@ def test_patch_without_power_vertices_still_runs_the_witness(monkeypatch):
     checked = []
     real = scape._check_witnesses
 
-    def counted(rel, points, rows):
+    def counted(rel, points, rows, near):
         checked.append(rows.shape)
-        real(rel, points, rows)
+        real(rel, points, rows, near)
 
     monkeypatch.setattr(scape, "_check_witnesses", counted)
     s = voronoi_scape_flat(pts, probe)
@@ -441,7 +441,7 @@ def test_power_diagram_lifts_only_sites_that_can_be_nearest(monkeypatch, seed):
     spec, pts, probe = scape_3d_trial(seed)
     counts = lifted_rows(monkeypatch)
     s = voronoi_scape_flat(pts, probe)
-    assert len(counts) == 1 and counts[0] < len(pts) // 2
+    assert len(counts) == 1 and counts[0] <= 150
     entries, total = mosaic_scape_reference(pts, probe)
     assert len(entries) > 0
     assert s.entries == entries and s.total_volume == total
@@ -625,6 +625,180 @@ def test_path_rotation_invariant(instance, rot_seed):
     keys_q, total_q = path_of(pts @ q.T, verts @ q.T)
     assert keys_q == keys
     assert total_q == pytest.approx(total, rel=1e-9)
+
+
+# ---------------- candidate pick and pruned witness ----------------
+
+def full_power_vertices(pts, probe):
+    """Rows and flat coordinates of the power-diagram vertices of every
+    site inside the patch, from one lower hull with no candidate pick."""
+    rel = pts - probe.base
+    y = rel @ probe.frame.rows.T
+    lift = np.einsum("ij,ij->i", rel, rel)
+    tops = lower_hull_simplices(np.column_stack([y, lift]))
+    A = 2.0 * (y[tops[:, 1:]] - y[tops[:, :1]])
+    rhs = lift[tops[:, 1:]] - lift[tops[:, :1]]
+    centers = np.linalg.solve(A, rhs[..., None])[..., 0]
+    if probe.region == "box":
+        inside = np.all(np.abs(centers) <= probe.extent, axis=1)
+    else:
+        inside = np.einsum("ij,ij->i", centers, centers) <= float(probe.extent) ** 2
+    return tops[inside], centers[inside]
+
+
+def points_in_patch(probe, rng, n):
+    """n uniform points of the patch, in flat coordinates."""
+    p = probe.p
+    if probe.region == "box":
+        return rng.uniform(-1.0, 1.0, size=(n, p)) * probe.extent
+    u = rng.standard_normal((n, p))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u * float(probe.extent) * rng.uniform(size=(n, 1)) ** (1.0 / p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(INSTANCES, st.sampled_from([0.05, 1.0, 3.0]))
+def test_candidates_keep_every_site_that_can_be_nearest(instance, scale):
+    (d, p), region, seed = instance
+    pts, probe = random_patch(d, p, region, seed)
+    probe = moved_probe(probe, probe.frame.rows, probe.base, scale * probe.extent)
+    rel = pts - probe.base
+    y = rel @ probe.frame.rows.T
+    keep, near = scape._candidates(y, np.einsum("ij,ij->i", rel, rel),
+                                   np.broadcast_to(probe.extent, p))
+    kept = set(keep.tolist())
+    rows, _ = full_power_vertices(pts, probe)
+    assert set(rows.ravel().tolist()) <= kept
+    c = points_in_patch(probe, np.random.default_rng(seed), 200)
+    x = probe.base + c @ probe.frame.rows
+    d2 = np.einsum("ijk,ijk->ij", x[:, None] - pts, x[:, None] - pts)
+    assert set(np.argmin(d2, axis=1).tolist()) <= kept
+    # near bounds every site's squared distance from the patch from below
+    assert np.all(near <= d2.min(axis=0) * (1.0 + 1e-12) + 1e-15)
+
+
+class _Stop(Exception):
+    pass
+
+
+def witness_inputs(pts, probe):
+    """The arguments of voronoi_scape_flat's witness call, or None when the
+    power diagram fails before it."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(scape, "_check_witnesses", record)
+        try:
+            voronoi_scape_flat(pts, probe)
+        except (_Stop, DegenerateInputError):
+            pass
+    return seen[0] if seen else None
+
+
+def reference_verdict(rel, points, rows):
+    """The witness verdict over every site, by dense distances: a row
+    passes when its sites are the nearest and the next site is strictly
+    farther; otherwise the nearest site outside it ties within TIE_TOL of
+    its farthest site, or is nearer and the row is inconsistent."""
+    verdict = "pass"
+    for point, row in zip(points, rows):
+        dist = np.linalg.norm(rel - point, axis=1)
+        reach = dist[row].max()
+        other = np.delete(dist, row).min()
+        if other > reach:
+            continue
+        if other < reach * (1.0 - scape.TIE_TOL):
+            return "inconsistent"
+        verdict = "degenerate"
+    return verdict
+
+
+def witness_verdict(rel, points, rows, near):
+    try:
+        scape._check_witnesses(rel, points, rows, near)
+    except ConsistencyError:
+        return "inconsistent"
+    except DegenerateInputError:
+        return "degenerate"
+    return "pass"
+
+
+def corrupted(rows, n, pick):
+    """rows with one site of one row replaced by another site."""
+    rows = rows.copy()
+    i, j, w = pick % len(rows), pick % rows.shape[1], pick % n
+    if w not in rows[i]:
+        rows[i, j] = w
+        rows[i].sort()
+    return rows
+
+
+LATTICE = {d: sample(lattice(0.1, jitter=0.0), unit_box_window(d), 0) for d in (2, 3)}
+
+
+def witness_case(d, p, region, seed, on_lattice, pick):
+    """Witness inputs on a Poisson patch or on the unjittered lattice, with
+    one row corrupted when pick is not None."""
+    if on_lattice:
+        rng = np.random.default_rng(seed)
+        pts = LATTICE[d]
+        probe = flat_patch_probe(sample_stiefel(p, d, rng),
+                                 rng.uniform(0.3, 0.7, size=d), region, 0.075)
+    else:
+        pts, probe = random_patch(d, p, region, seed)
+    args = witness_inputs(pts, probe)
+    if args is None or not len(args[2]):
+        return None
+    rel, points, rows, near = args
+    if pick is not None:
+        rows = corrupted(rows, len(rel), pick)
+    return rel, points, rows, near
+
+
+@settings(max_examples=40, deadline=None)
+@given(INSTANCES, st.booleans(), st.none() | st.integers(0, 2 ** 32 - 1))
+def test_pruned_witness_matches_all_site_reference(instance, on_lattice, pick):
+    (d, p), region, seed = instance
+    case = witness_case(d, p, region, seed, on_lattice, pick)
+    assume(case is not None)
+    rel, points, rows, near = case
+    assert witness_verdict(*case) == reference_verdict(rel, points, rows)
+
+
+def test_pruned_witness_parity_covers_every_verdict():
+    verdicts = set()
+    for seed in range(6):
+        for on_lattice, pick in ((False, None), (False, 7 * seed + 3), (True, None)):
+            case = witness_case(3, 2, "box", seed, on_lattice, pick)
+            if case is None:
+                continue
+            rel, points, rows, near = case
+            v = witness_verdict(*case)
+            assert v == reference_verdict(rel, points, rows)
+            verdicts.add(v)
+    assert verdicts == {"pass", "inconsistent", "degenerate"}
+
+
+def test_wrong_row_with_a_far_site_is_inconsistent():
+    # the replaced site is far outside the candidates the true rows allow;
+    # the prune reads the wrong row's own, larger radius and still finds
+    # the row's true sites nearer
+    pts, probe = random_patch(3, 2, "box", 5)
+    rel, points, rows, near = witness_inputs(pts, probe)
+    own = points[:, None, :] - rel[rows]
+    r2 = np.max(np.einsum("ijk,ijk->ij", own, own))
+    far = int(np.argmax(near))
+    assert near[far] > 10.0 * r2
+    wrong = rows.copy()
+    wrong[0, -1] = far
+    wrong[0].sort()
+    with pytest.raises(ConsistencyError, match="not a Delaunay cell"):
+        scape._check_witnesses(rel, points, wrong, near)
 
 
 # ---------------- distortion ----------------
