@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from importlib.metadata import PackageNotFoundError, version
 from types import MappingProxyType
@@ -116,22 +116,37 @@ class ExperimentSpec:
         return default_margin(self.process, self.d)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ExperimentResult:
     """A run's trial values and statistics. measured holds the per-trial
     data that the values do not carry (boundary shares and cell counts of
     mixedvol runs; NOTHING_MEASURED for other kinds); metadata is derived
     from it and the spec on each read, so a kept result holds only what was
-    measured."""
+    measured. A one-trial result keeps no values array: its value is its
+    mean bitwise, and values builds the array from it on each read."""
 
     spec: ExperimentSpec
-    values: np.ndarray = field(compare=False)
+    kept_values: np.ndarray | None = field(compare=False, repr=False)
     mean: float
     stderr: float | None
     predicted: float
     z: float | None
     measured: Mapping = field(compare=False)
-    elapsed_s: float = field(default=0.0, compare=False)
+    elapsed_s: float = field(compare=False)
+
+    def __init__(self, spec, values, mean, stderr, predicted, z, measured,
+                 elapsed_s=0.0):
+        if len(values) == 1 and float(values[0]).hex() == float(mean).hex():
+            values = None
+        for f, value in zip(fields(self), (spec, values, mean, stderr, predicted,
+                                           z, measured, elapsed_s)):
+            object.__setattr__(self, f.name, value)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self.kept_values is None:
+            return np.array([self.mean])
+        return self.kept_values
 
     @property
     def metadata(self) -> dict:
@@ -270,7 +285,8 @@ def worker_count(trials: int) -> int:
     raw = os.environ.get(WORKERS_ENV, "").strip() or "1"
     if not raw.isdecimal() or int(raw) < 1:
         raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return min(int(raw), trials, os.cpu_count() or 1)
+    n = min(int(raw), trials)
+    return n if n == 1 else min(n, os.cpu_count() or 1)
 
 
 def _run_trials(spec: ExperimentSpec) -> list[dict]:

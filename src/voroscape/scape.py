@@ -14,8 +14,12 @@ whole-box bound cannot prove farther than every cell's own sites, with a
 radius read from the cells themselves, so it covers every site and needs
 no trust in the pick. A path is the p = 1 case: each segment of a polyline
 is a 1-flat patch, and the edges of all segments are counted together.
-The cells arrive as sorted index rows, a scape measures all of them with
-one batched simplex_volumes call, and it keeps them as arrays.
+A path's vertices must lie in the sites' convex hull. An orthant
+certificate settles that exactly with one comparison of every vertex
+against every site; only a vertex it cannot certify, near the edge of the
+sample, goes to the Qhull hull of the sites. The cells arrive as sorted
+index rows, a scape measures all of them with one batched simplex_volumes
+call, and it keeps them as arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import lower_hull_simplices, site_hull
+from .delaunay import _row_order, lower_hull_simplices, site_hull
 from .errors import ConsistencyError, CoverageError, DegenerateInputError
 from .geometry import Frame, simplex_volumes, span_solve
 from .pointproc import unit_ball_volume
@@ -180,18 +184,24 @@ def voronoi_path(sites, probe: Probe) -> Scape:
     its power-diagram vertices are its crossings of Voronoi (d-1)-cells, and
     each contributes the dual Delaunay edge, witnessed as in
     voronoi_scape_flat. An edge counts once per crossing over all segments.
+
     Polyline vertices must lie inside the convex hull of the sites, or
-    CoverageError is raised. A power vertex within CROSS_TOL (relative to
-    the segment length) of a segment end puts a polyline vertex on a
-    Voronoi face; it, a witness tie and a flat weighted cell are dislodged
-    by a deterministic perturbation of the whole probe, which sets
-    perturbed.
+    CoverageError is raised. A vertex is certified inside when each of its
+    2^d orthants holds a site (_orthant_certified), which is exact; only
+    the vertices that fail go to site_hull, so too few or affinely flat
+    sites, which fail it always, still raise its DegenerateInputError.
+
+    A power vertex within CROSS_TOL (relative to the segment length) of a
+    segment end puts a polyline vertex on a Voronoi face; it, a witness tie
+    and a flat weighted cell are dislodged by a deterministic perturbation
+    of the whole probe, which sets perturbed.
     """
     if probe.kind != "polyline":
         raise ValueError("voronoi_path expects a polyline probe")
     sites = _site_array(sites)
     verts = probe.vertices
-    if not np.all(site_hull(sites).contains(verts)):
+    doubt = verts[~_orthant_certified(sites, verts)]
+    if len(doubt) and not np.all(site_hull(sites).contains(doubt)):
         raise CoverageError("probe outside coverage")
     d = sites.shape[1]
     for attempt in range(MAX_REWALKS):
@@ -209,9 +219,35 @@ def voronoi_path(sites, probe: Probe) -> Scape:
                 perturbed |= jittered
         except DegenerateInputError:
             continue
-        rows, mults = np.unique(np.concatenate(rows), axis=0, return_counts=True)
-        return _make_scape(1, sites, rows, mults, perturbed)
+        rows = np.concatenate(rows)
+        order, new = _row_order(rows)
+        start = np.flatnonzero(new)
+        mults = np.diff(start, append=len(rows))
+        return _make_scape(1, sites, rows[order[start]], mults, perturbed)
     raise DegenerateInputError("probe keeps hitting degenerate Voronoi faces")
+
+
+def _orthant_certified(sites, verts) -> np.ndarray:
+    """True where every orthant around a vertex holds a site, which puts
+    the vertex in the sites' convex hull.
+
+    The orthants of x are the 2^d sign patterns of s - x, bit i set where
+    s_i >= x_i. If x lay outside the hull, a normal a of a hyperplane that
+    separates it would have a . (s - x) < 0 for every site, yet every site
+    s in the orthant of sign(a) has a . (s - x) >= 0, so that orthant would
+    be empty. The comparisons are exact in floating point, so a certified
+    vertex is inside the hull of the sites as given. Fewer than 2^d sites,
+    or sites on a hyperplane, certify nothing.
+
+    Each site-vertex pair packs its d bits into one code, offset by
+    vertex << d, and one bincount over all pairs counts every orthant.
+    """
+    m, d = verts.shape
+    code = np.arange(0, m << d, 1 << d)[:, None] + np.zeros(len(sites), np.intp)
+    for i, column in enumerate(sites.T):
+        code |= (column >= verts[:, i, None]).astype(np.intp) << i
+    counts = np.bincount(code.ravel(), minlength=m << d)
+    return np.all(counts.reshape(m, 1 << d) > 0, axis=1)
 
 
 def _segment_edges(sites, a, b):

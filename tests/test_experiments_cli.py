@@ -168,6 +168,22 @@ def test_worker_count_validation(monkeypatch):
     assert worker_count(1) == 1
 
 
+
+def test_one_trial_runs_validate_workers_without_counting_cpus(monkeypatch):
+    def refuse():
+        raise AssertionError("cpu_count read for one trial")
+
+    monkeypatch.setattr(experiments.os, "cpu_count", refuse)
+    for bad in ("two", "1.5", "0", "-3"):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            worker_count(1)
+    for good in ("", "1", "8"):
+        monkeypatch.setenv(WORKERS_ENV, good)
+        assert worker_count(1) == 1
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    assert worker_count(8) == 1
+
 # ---------------- determinism and aggregation ----------------
 
 def test_bitwise_determinism_and_workers():
@@ -254,6 +270,20 @@ def test_kept_results_stay_small(monkeypatch):
     assert len(kept) == n
     assert grown / n <= 450, f"{grown / n:.0f} B per kept result"
 
+
+
+def test_one_trial_results_keep_no_values_array():
+    one = run_experiment(path_spec(3, 1000, 0.3, 1, seed=21))
+    many = run_experiment(path_spec(3, 1000, 0.3, 3, seed=21))
+    assert one.kept_values is None
+    assert one.values.tobytes() == many.values[:1].tobytes()
+    assert one.values.tolist() == [one.mean] and one.values is not one.values
+    assert many.kept_values is many.values
+    assert json.loads(json.dumps(one.to_json_dict()))["values"] == [one.mean]
+    # a value that its mean does not reproduce bitwise is kept as given
+    odd = experiments.ExperimentResult(one.spec, np.array([-0.0]), 0.0, None,
+                                       1.5, None, {})
+    assert odd.kept_values is not None and str(odd.values[0]) == "-0.0"
 
 def test_poisson_spec_is_shared_and_typed():
     pointproc.poisson.cache_clear()

@@ -627,6 +627,87 @@ def test_path_rotation_invariant(instance, rot_seed):
     assert total_q == pytest.approx(total, rel=1e-9)
 
 
+# ---------------- coverage certificate ----------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 1e6]), st.sampled_from([-3.0, 0.0, 3.0]))
+def test_certified_vertices_lie_in_the_site_hull(d, seed, shift, log_scale):
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** log_scale
+    pts = shift + c * rng.uniform(size=(int(rng.integers(2 ** d, 60 * d)), d))
+    verts = shift + c * rng.uniform(-0.2, 1.2, size=(64, d))
+    hull = delaunay.site_hull(pts)
+    assert np.all(hull.contains(verts[scape._orthant_certified(pts, verts)]))
+    # a point pushed past a facet plane is outside the hull: never certified
+    beyond = pts[hull.facets].mean(axis=1) + 1e-3 * c * hull.normals
+    assert not np.any(scape._orthant_certified(pts, beyond))
+
+
+def test_vertex_at_a_hull_corner_takes_the_fallback(monkeypatch):
+    # the site of least coordinate sum is a hull corner with no site below
+    # it on every axis, so its all-negative orthant is empty
+    pts = sample(poisson(1000), unit_box_window(3), 17)
+    corner = pts[np.argmin(pts.sum(axis=1))]
+    center = np.full(3, 0.5)
+    inward = Probe("polyline", vertices=np.array([
+        corner + 1e-9 * (center - corner), center]))
+    outward = Probe("polyline", vertices=np.array([corner - 1e-9, center]))
+    hull = delaunay.site_hull(pts)
+    assert hull.contains(inward.vertices).tolist() == [True, True]
+    assert hull.contains(outward.vertices).tolist() == [False, True]
+    for probe in (inward, outward):
+        certified = scape._orthant_certified(pts, probe.vertices)
+        assert certified.tolist() == [False, True]
+    calls = []
+
+    def counted(sites):
+        calls.append(len(sites))
+        return delaunay.site_hull(sites)
+
+    monkeypatch.setattr(scape, "site_hull", counted)
+    s = voronoi_path(pts, inward)
+    with pytest.raises(CoverageError, match="probe outside coverage"):
+        voronoi_path(pts, outward)
+    assert len(calls) == 2
+    # the same path when every vertex goes to site_hull, as before
+    monkeypatch.setattr(scape, "_orthant_certified",
+                        lambda sites, verts: np.zeros(len(verts), bool))
+    assert voronoi_path(pts, inward) == s
+
+
+def test_path_trials_need_no_site_hull(monkeypatch):
+    def refuse(sites):
+        raise AssertionError("site_hull called on a certified path")
+
+    monkeypatch.setattr(scape, "site_hull", refuse)
+    for k in range(200):
+        spec = experiments.path_spec(3, 1000, 0.3, 1, seed=2012 * 10 ** 6 + k)
+        assert experiments._distortion_trial(spec, 0) > 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_path_rows_and_counts_match_np_unique(seed):
+    # zigzag polylines cross some facets more than once
+    rng = np.random.default_rng([seed, 19])
+    d = 2 + seed % 2
+    pts = sample(poisson({2: 300, 3: 600}[d]), unit_box_window(d), seed)
+    ends = rng.uniform(0.3, 0.7, size=(2, d))
+    verts = np.vstack([ends[[0, 1] * 3], rng.uniform(0.3, 0.7, size=(3, d))])
+    v_shape = np.array([[0.6, 0.1], [1.4, 0.1], [0.6, 0.15]])
+    cases = [(pts, verts), (TRIANGLE, v_shape)]
+    for sites, v in cases:
+        s = voronoi_path(sites, Probe("polyline", vertices=v))
+        assert not s.perturbed
+        rows = np.concatenate([scape._segment_edges(sites, a, b)[0]
+                               for a, b in zip(v[:-1], v[1:])])
+        want, counts = np.unique(rows, axis=0, return_counts=True)
+        assert s.rows.dtype == want.dtype and np.array_equal(s.rows, want)
+        assert (s.multiplicities.dtype == counts.dtype
+                and np.array_equal(s.multiplicities, counts))
+    assert s.multiplicities.tolist() == [2]
+
+
 # ---------------- candidate pick and pruned witness ----------------
 
 def full_power_vertices(pts, probe):
